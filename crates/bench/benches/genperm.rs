@@ -62,9 +62,9 @@ fn bench_uniform_recorded(c: &mut Criterion) {
 }
 
 fn bench_alias_draw(c: &mut Criterion) {
-    // One alias-table GenPerm draw (tables prebuilt), against the
-    // restricted roulette of `genperm_uniform`: O(n log n) expected
-    // versus O(n²).
+    // One flat GenPerm draw (tables prebuilt: bounded alias spins, then
+    // an exact scan over the free columns), against the O(n²)
+    // restricted roulette of `genperm_uniform`.
     let mut group = c.benchmark_group("genperm_alias");
     for n in [10usize, 20, 50] {
         let model = PermutationModel::uniform(n);

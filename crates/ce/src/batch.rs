@@ -14,7 +14,9 @@
 //!   the driver and reused across iterations — zero per-sample
 //!   allocations;
 //! * per-iteration **tables** (alias tables per matrix row) are built
-//!   once per batch, amortising O(n) preprocessing over `N` O(1) draws;
+//!   once per batch, amortising O(n) preprocessing over `N` draws that
+//!   each spin a row's table a bounded number of times (GenPerm then
+//!   finishes a row with an exact scan over the free columns only);
 //! * per-worker **scratch** makes a single draw allocation-free, so the
 //!   draw can run *inside* a `match-par` worker, fused with the
 //!   evaluation of the same row.
@@ -62,14 +64,59 @@ impl<'a> FlatBatch<'a> {
     }
 }
 
+/// Work counters of a rejection sampler, summed over the draws that
+/// shared one scratch. For GenPerm, every row is placed either by an
+/// accepted spin or by an exact scan, so `spins - rejections + scans`
+/// is the number of rows drawn.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrawStats {
+    /// Alias-table spins, accepted or rejected.
+    pub spins: u64,
+    /// Spins that landed on a column an earlier row already took.
+    pub rejections: u64,
+    /// Rows placed by the exact restricted roulette over free columns.
+    pub scans: u64,
+    /// Exact scans whose free columns held no mass, so the pick was
+    /// uniform among them.
+    pub uniform_picks: u64,
+}
+
+impl DrawStats {
+    /// Add `other` into `self`.
+    pub fn add(&mut self, other: &DrawStats) {
+        self.spins += other.spins;
+        self.rejections += other.rejections;
+        self.scans += other.scans;
+        self.uniform_picks += other.uniform_picks;
+    }
+
+    /// True when no work was counted (e.g. a sampler without stats).
+    pub fn is_empty(&self) -> bool {
+        *self == DrawStats::default()
+    }
+
+    /// The counters under their trace names, as emitted per iteration
+    /// by the flat CE driver.
+    pub fn named(&self) -> [(&'static str, u64); 4] {
+        [
+            ("genperm_spins", self.spins),
+            ("genperm_rejections", self.rejections),
+            ("genperm_scans", self.scans),
+            ("genperm_uniform_picks", self.uniform_picks),
+        ]
+    }
+}
+
 /// A [`CeModel`] that can draw fixed-width `usize` samples straight into
 /// flat buffers, with batch-level preprocessing and reusable scratch —
 /// everything the fused parallel sample+evaluate pipeline needs.
 ///
 /// Determinism contract: [`FlatSampler::sample_flat`] must be a pure
-/// function of `(self, tables, rng)` — scratch carries no state between
-/// draws — so a batch drawn with per-sample RNGs derived from a single
-/// seed is identical for every thread count and chunking.
+/// function of `(self, tables, rng)` — scratch is reset at the start of
+/// every draw and carries no state between draws except the
+/// [`DrawStats`] counters, which never influence a draw — so a batch
+/// drawn with per-sample RNGs derived from a single seed is identical
+/// for every thread count and chunking, traced or not.
 pub trait FlatSampler: CeModel<Sample = Vec<usize>> + Sync {
     /// Immutable per-batch sampling tables (e.g. one alias table per
     /// stochastic-matrix row), shared read-only across workers.
@@ -104,6 +151,13 @@ pub trait FlatSampler: CeModel<Sample = Vec<usize>> + Sync {
         rng: &mut R,
         out: &mut [usize],
     );
+
+    /// The [`DrawStats`] accumulated in `scratch` since the last call,
+    /// resetting them to zero. Samplers without a rejection loop keep
+    /// the default, which reports nothing.
+    fn take_stats(&self, _scratch: &mut Self::Scratch) -> DrawStats {
+        DrawStats::default()
+    }
 
     /// [`CeModel::update_from_elites`] reading elite rows (given by index,
     /// in ascending-cost order) out of a flat batch instead of a slice of

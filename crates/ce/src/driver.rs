@@ -11,12 +11,13 @@
 //! `match-par`); an observer hook receives the model after each update,
 //! which is how Figure 3's matrix snapshots are collected.
 
-use crate::batch::{FlatBatch, FlatEvaluator, FlatSampler, RowEval};
+use crate::batch::{DrawStats, FlatBatch, FlatEvaluator, FlatSampler, RowEval};
 use crate::model::CeModel;
 use match_telemetry::{Event, IterEvent, NullRecorder, PoolEvent, Recorder, Span, SpanEvent};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Tunables of the CE loop. Defaults follow the paper where it commits
@@ -560,6 +561,7 @@ where
 
         let sample_ns = AtomicU64::new(0);
         let eval_ns = AtomicU64::new(0);
+        let draw_stats = Mutex::new(DrawStats::default());
         let tables_ref = &tables;
         let timings = match_par::parallel_fill_rows_chunked(
             &mut data,
@@ -586,6 +588,11 @@ where
                     let t2 = Instant::now();
                     sample_ns.fetch_add((t1 - t0).as_nanos() as u64, Ordering::Relaxed);
                     eval_ns.fetch_add((t2 - t1).as_nanos() as u64, Ordering::Relaxed);
+                    let chunk_stats = model.take_stats(scratch);
+                    draw_stats
+                        .lock()
+                        .expect("draw stats lock")
+                        .add(&chunk_stats);
                 }
             },
         );
@@ -595,6 +602,15 @@ where
                 name: "evaluations".into(),
                 value: n as u64,
             });
+            let stats = draw_stats.into_inner().expect("draw stats lock");
+            if !stats.is_empty() {
+                for (name, value) in stats.named() {
+                    recorder.record(Event::Counter {
+                        name: name.into(),
+                        value,
+                    });
+                }
+            }
         }
 
         if let Some(start) = region_start {
@@ -1225,5 +1241,64 @@ mod tests {
         assert!(sample_spans >= 1);
         assert_eq!(sample_spans, eval_spans);
         assert_eq!(sample_spans, update_spans);
+    }
+
+    #[test]
+    fn flat_genperm_counters_account_for_every_row_without_perturbing_the_run() {
+        use match_telemetry::MemoryRecorder;
+        // A hidden-permutation cost at n = 16: as the matrix
+        // concentrates, rows collide and the exact scan takes over.
+        let target: Vec<usize> = (0..16).map(|i| (i * 5) % 16).collect();
+        let cost = |s: &[usize]| s.iter().zip(&target).filter(|(a, b)| a != b).count() as f64;
+        let mut cfg = CeConfig::with_sample_size(256);
+        cfg.max_iters = 12;
+        let run = |recorder: &mut dyn Recorder, threads: usize| {
+            let mut model = PermutationModel::uniform(target.len());
+            minimize_flat(
+                &mut model,
+                &cfg,
+                &mut StdRng::seed_from_u64(95),
+                threads,
+                cost,
+                |_, _| {},
+                recorder,
+                &|| false,
+            )
+        };
+        let untraced = run(&mut NullRecorder, 1);
+        let mut recorder = MemoryRecorder::default();
+        let traced = run(&mut recorder, 2);
+        assert_eq!(untraced.best_sample, traced.best_sample);
+        assert_eq!(untraced.best_cost, traced.best_cost);
+        assert_eq!(untraced.iterations, traced.iterations);
+        assert_eq!(untraced.telemetry, traced.telemetry);
+
+        // One set of counters per iteration, each following that
+        // iteration's `evaluations` counter.
+        let mut per_iter: Vec<DrawStats> = Vec::new();
+        for ev in recorder.events() {
+            if let Event::Counter { name, value } = ev {
+                let value = *value;
+                match name.as_ref() {
+                    "evaluations" => per_iter.push(DrawStats::default()),
+                    "genperm_spins" => per_iter.last_mut().unwrap().spins += value,
+                    "genperm_rejections" => per_iter.last_mut().unwrap().rejections += value,
+                    "genperm_scans" => per_iter.last_mut().unwrap().scans += value,
+                    "genperm_uniform_picks" => per_iter.last_mut().unwrap().uniform_picks += value,
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(per_iter.len(), traced.iterations);
+        let rows = (target.len() * cfg.sample_size) as u64;
+        for (iter, stats) in per_iter.iter().enumerate() {
+            assert_eq!(
+                stats.spins - stats.rejections + stats.scans,
+                rows,
+                "iteration {iter}: {stats:?}"
+            );
+            assert!(stats.rejections <= stats.spins);
+        }
+        assert!(per_iter.iter().any(|s| s.rejections > 0));
     }
 }

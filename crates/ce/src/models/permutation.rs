@@ -18,31 +18,60 @@
 //!
 //! * [`PermutationModel::sample_into`] — the literal Figure-4 roulette,
 //!   O(n²) per draw. This is the historical RNG stream.
-//! * [`FlatSampler::sample_flat`] — one [`AliasTable`] per row, built
-//!   once per batch, drawn O(1) with *rejection* on already-used
-//!   columns. Rejecting used columns and renormalising over the rest are
-//!   the same conditional distribution, so every accepted draw is an
-//!   exact restricted-roulette draw; after a bounded number of
-//!   rejections (degenerate rows concentrate their mass on used columns)
-//!   the row falls back to the exact restricted roulette. Expected cost
-//!   per permutation is O(n log n) instead of O(n²).
+//! * [`FlatSampler::sample_flat`] — the batched path. Each row first
+//!   spins its [`AliasTable`] (built once per batch) at most
+//!   `MAX_SPINS` = 2 times, rejecting columns already taken. Rejecting
+//!   used columns and renormalising over the rest give the same
+//!   conditional distribution, so an accepted spin is an exact
+//!   restricted-roulette draw. A row whose spins all land on used
+//!   columns, and every row once at most `n/4` columns are free, runs
+//!   one exact restricted roulette over the free columns only, which
+//!   picks uniformly among them when they hold no mass — the same law
+//!   as the fallback of `sample_into`. The free columns live in a
+//!   swap-remove list with a position index, so taking a column is
+//!   O(1) and an exact scan costs O(free columns), never O(n).
+//!
+//! Cost model of one flat draw: one `u64` per visit-order step and per
+//! alias spin (see [`match_rngutil::uniform_index`]), at most two spins
+//! per row, and per scanned row one pass over its free columns to sum
+//! their mass plus a partial pass to find the pick. The `n/4` cutoff
+//! keeps scans off the rows where the free list is long and spins
+//! usually succeed. Scans grow more frequent as the stochastic matrix
+//! concentrates mass on columns that earlier rows took;
+//! [`FlatSampler::take_stats`] reports spins, rejections, scans and
+//! uniform picks so that shift is visible in traces.
 
-use crate::batch::{FlatBatch, FlatSampler};
+use crate::batch::{DrawStats, FlatBatch, FlatSampler};
 use crate::model::CeModel;
 use crate::stochmatrix::StochasticMatrix;
 use match_rngutil::alias::AliasTable;
 use match_rngutil::roulette::roulette_pick;
+use match_rngutil::uniform_index;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// Alias spins a flat GenPerm row takes before it falls back to the
+/// exact scan over the free columns. Measured on full CE runs at
+/// n = 48: 1 is slower, 2–8 are within noise of each other.
+const MAX_SPINS: usize = 2;
+
+/// `pos` entry of a column that is no longer free.
+const TAKEN: usize = usize::MAX;
+
 /// Reusable per-draw scratch for GenPerm: the random visit order, the
-/// used-column marks, and the restricted-row weight buffer. One draw
-/// allocates nothing once the scratch has warmed up.
+/// used-column marks, the restricted-row weight buffer, and (flat path)
+/// the swap-remove list of free columns with each column's position in
+/// it. One draw allocates nothing once the scratch has warmed up; every
+/// buffer is reset at the start of a draw, so no draw sees another's
+/// state. `stats` only counts work and never influences a draw.
 #[derive(Debug, Clone, Default)]
 pub struct GenPermScratch {
     order: Vec<usize>,
     used: Vec<bool>,
     weights: Vec<f64>,
+    free: Vec<usize>,
+    pos: Vec<usize>,
+    stats: DrawStats,
 }
 
 impl GenPermScratch {
@@ -55,7 +84,7 @@ impl GenPermScratch {
 /// Per-batch sampling tables: one alias table per stochastic-matrix row.
 /// Rows without positive mass (cannot occur for a valid stochastic
 /// matrix, but tolerated) hold an empty table and always take the
-/// roulette fallback.
+/// exact scan.
 #[derive(Debug, Clone)]
 pub struct GenPermTables {
     rows: Vec<AliasTable>,
@@ -176,6 +205,48 @@ impl PermutationModel {
     }
 }
 
+/// The exact restricted roulette of the flat path: spin `row`'s wheel
+/// over the `free` columns only (their order does not change the law).
+/// Weights are clamped like [`roulette_pick`]'s; `None` when the free
+/// columns hold no mass.
+fn free_roulette<R: Rng + ?Sized>(row: &[f64], free: &[usize], rng: &mut R) -> Option<usize> {
+    let mass = |j: usize| {
+        let p = row[j];
+        if p > 0.0 && p < f64::INFINITY {
+            p
+        } else {
+            0.0
+        }
+    };
+    // Four partial sums break the add latency chain of a long list.
+    let mut part = [0.0f64; 4];
+    let quads = free.chunks_exact(4);
+    let tail = quads.remainder();
+    for quad in quads {
+        for (p, &j) in part.iter_mut().zip(quad) {
+            *p += mass(j);
+        }
+    }
+    let mut total = (part[0] + part[1]) + (part[2] + part[3]);
+    for &j in tail {
+        total += mass(j);
+    }
+    if total <= 0.0 {
+        return None;
+    }
+    let target = rng.random::<f64>() * total;
+    let mut acc = 0.0;
+    for &j in free {
+        acc += mass(j);
+        if target < acc {
+            return Some(j);
+        }
+    }
+    // Rounding can leave `target` at `total`: attribute it to the last
+    // column with mass.
+    free.iter().rev().copied().find(|&j| mass(j) > 0.0)
+}
+
 impl CeModel for PermutationModel {
     type Sample = Vec<usize>;
 
@@ -265,7 +336,7 @@ impl FlatSampler for PermutationModel {
         tables.rows.resize_with(self.len(), AliasTable::empty);
         for (i, table) in tables.rows.iter_mut().enumerate() {
             // A failed rebuild (no positive mass) leaves the table empty;
-            // sample_flat then always takes the roulette fallback.
+            // sample_flat then always takes the exact scan.
             table.rebuild(self.matrix.row(i));
         }
     }
@@ -284,48 +355,70 @@ impl FlatSampler for PermutationModel {
         let n = self.len();
         debug_assert_eq!(out.len(), n);
         debug_assert_eq!(tables.rows.len(), n);
-        scratch.used.clear();
-        scratch.used.resize(n, false);
-        scratch.order.clear();
-        scratch.order.extend(0..n);
-        match_rngutil::perm::shuffle(&mut scratch.order, rng);
+        let GenPermScratch {
+            order,
+            free,
+            pos,
+            stats,
+            ..
+        } = scratch;
+        // Step 1: the random visit order, by Fisher–Yates on
+        // multiply-shift indices.
+        order.clear();
+        order.extend(0..n);
+        for i in (1..n).rev() {
+            order.swap(i, uniform_index(rng, i + 1));
+        }
+        free.clear();
+        free.extend(0..n);
+        pos.clear();
+        pos.extend(0..n);
+        let mut local = DrawStats::default();
 
-        for visited in 0..n {
-            let row = scratch.order[visited];
+        for (visited, &row) in order.iter().enumerate() {
             let remaining = n - visited;
             let table = &tables.rows[row];
-            let mut pick = None;
-            if !table.is_empty() {
+            let mut pick = TAKEN;
+            if remaining > 1 && 4 * remaining > n && !table.is_empty() {
                 // Rejection over the full-row alias table: conditioning
-                // the row distribution on "column unused" IS the
-                // restricted-roulette distribution, so any accepted draw
-                // is exact. The spin budget scales with the expected
-                // n / remaining tries of a near-uniform row; exceeding it
-                // (mass concentrated on used columns) costs nothing but
-                // the fallback below — the fallback is exact too, so the
-                // bound only trades constant factors, never correctness.
-                let budget = 4 * (n / remaining) + 8;
-                for _ in 0..budget {
+                // on "column free" is the restricted-roulette law, so an
+                // accepted spin is exact.
+                for _ in 0..MAX_SPINS {
                     let j = table.sample(rng);
-                    if !scratch.used[j] {
-                        pick = Some(j);
+                    local.spins += 1;
+                    if pos[j] != TAKEN {
+                        pick = j;
                         break;
                     }
+                    local.rejections += 1;
                 }
             }
-            let pick = match pick {
-                Some(j) => j,
-                None => Self::restricted_roulette(
-                    self.matrix.row(row),
-                    &scratch.used,
-                    &mut scratch.weights,
-                    remaining,
-                    rng,
-                ),
-            };
-            scratch.used[pick] = true;
+            if pick == TAKEN {
+                local.scans += 1;
+                pick = if remaining == 1 {
+                    free[0]
+                } else if let Some(j) = free_roulette(self.matrix.row(row), free, rng) {
+                    j
+                } else {
+                    local.uniform_picks += 1;
+                    free[uniform_index(rng, remaining)]
+                };
+            }
+            // O(1) swap-remove of `pick` from the free list, branch-free:
+            // when `pick` is the last entry the two moves are no-ops.
+            let slot = pos[pick];
+            let last = free[remaining - 1];
+            free[slot] = last;
+            pos[last] = slot;
+            pos[pick] = TAKEN;
+            free.truncate(remaining - 1);
             out[row] = pick;
         }
+        stats.add(&local);
+    }
+
+    fn take_stats(&self, scratch: &mut GenPermScratch) -> DrawStats {
+        std::mem::take(&mut scratch.stats)
     }
 
     fn update_from_flat(&mut self, batch: &FlatBatch<'_>, elites: &[usize], zeta: f64) {

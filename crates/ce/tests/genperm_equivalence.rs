@@ -1,14 +1,17 @@
 //! Distributional equivalence of the two GenPerm sampling paths and of
 //! the O(N) elite selection against its sorted reference.
 //!
-//! The alias+rejection sampler must draw the *same distribution* as the
+//! The flat sampler (bounded alias spins with rejection, then an exact
+//! scan over the free columns) must draw the *same distribution* as the
 //! restricted-roulette sampler (rejecting used columns over the full-row
 //! alias table is exactly the conditional distribution the restricted
 //! wheel spins), even though the two consume different RNG streams. We
 //! check row-for-row assignment marginals with a two-sample chi-square
-//! statistic over matched draw budgets.
+//! statistic over matched draw budgets. The n ≥ 16 cases put the flat
+//! sampler on its rejection, exact-scan and uniform-pick branches and
+//! check from its [`DrawStats`] that each branch really ran.
 
-use match_ce::batch::FlatSampler;
+use match_ce::batch::{DrawStats, FlatSampler};
 use match_ce::driver::{select_elites, EliteSelection};
 use match_ce::model::CeModel;
 use match_ce::models::permutation::PermutationModel;
@@ -18,24 +21,39 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Per-(row, column) assignment counts over `draws` permutations from the
-/// legacy restricted-roulette path.
+/// legacy restricted-roulette path. The `n` cells after the `n × n`
+/// block count the joint statistic `(σ(1) − σ(0)) mod n`, which sees
+/// dependence between rows that the marginals alone miss.
 fn roulette_counts(model: &PermutationModel, draws: usize, seed: u64) -> Vec<u64> {
     let n = model.len();
-    let mut counts = vec![0u64; n * n];
+    let mut counts = vec![0u64; n * n + n];
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..draws {
-        let perm = model.sample(&mut rng);
-        for (i, &j) in perm.iter().enumerate() {
-            counts[i * n + j] += 1;
-        }
+        tally(&mut counts, &model.sample(&mut rng));
     }
     counts
 }
 
-/// Same counts via the alias+rejection flat path.
+/// Add one permutation to a [`roulette_counts`]-shaped count vector.
+fn tally(counts: &mut [u64], perm: &[usize]) {
+    let n = perm.len();
+    for (i, &j) in perm.iter().enumerate() {
+        counts[i * n + j] += 1;
+    }
+    if n >= 2 {
+        counts[n * n + (perm[1] + n - perm[0]) % n] += 1;
+    }
+}
+
+/// Same counts via the flat path.
 fn alias_counts(model: &PermutationModel, draws: usize, seed: u64) -> Vec<u64> {
+    flat_counts(model, draws, seed).0
+}
+
+/// Flat-path counts plus the sampler's work counters over all draws.
+fn flat_counts(model: &PermutationModel, draws: usize, seed: u64) -> (Vec<u64>, DrawStats) {
     let n = model.len();
-    let mut counts = vec![0u64; n * n];
+    let mut counts = vec![0u64; n * n + n];
     let mut tables = model.new_tables();
     model.fill_tables(&mut tables);
     let mut scratch = model.new_scratch();
@@ -43,11 +61,33 @@ fn alias_counts(model: &PermutationModel, draws: usize, seed: u64) -> Vec<u64> {
     let mut out = vec![0usize; n];
     for _ in 0..draws {
         model.sample_flat(&tables, &mut scratch, &mut rng, &mut out);
-        for (i, &j) in out.iter().enumerate() {
-            counts[i * n + j] += 1;
-        }
+        tally(&mut counts, &out);
     }
-    counts
+    let stats = model.take_stats(&mut scratch);
+    (counts, stats)
+}
+
+/// Assert that the two paths agree row for row and on the joint
+/// statistic over `draws` permutations each, and return the flat path's
+/// work counters.
+fn assert_paths_agree(model: &PermutationModel, draws: usize, seed: u64) -> DrawStats {
+    let n = model.len();
+    let a = roulette_counts(model, draws, seed);
+    let (b, stats) = flat_counts(model, draws, seed ^ 0xD1B5_4A32_D192_ED03);
+    // Rows 0..n are the marginals; block n is the joint statistic.
+    for i in 0..=n {
+        let (chi, dof) = row_chi_square(&a[i * n..(i + 1) * n], &b[i * n..(i + 1) * n]);
+        assert!(
+            chi <= 5.0 * dof as f64 + 24.0,
+            "block {i} chi²={chi} dof={dof}"
+        );
+    }
+    // Every row is placed by an accepted spin or an exact scan.
+    assert_eq!(
+        stats.spins - stats.rejections + stats.scans,
+        (n * draws) as u64
+    );
+    stats
 }
 
 /// Two-sample chi-square statistic for one row's column marginal.
@@ -181,4 +221,57 @@ fn conflicting_degenerate_rows_agree_across_paths() {
             "row {i} chi²={chi} dof={dof}"
         );
     }
+}
+
+#[test]
+fn conflicting_hot_columns_at_n16() {
+    // Every row puts most of its mass on the same three columns, each
+    // row with its own split, so most spins after the first few rows
+    // land on a taken column and rows fall through to the exact scan,
+    // whose law then rests on the uneven cold columns.
+    let n = 16;
+    let mut raw = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            raw[i * n + j] = if j < 3 {
+                0.9 * (1.0 + ((i + j) % 3) as f64) / 6.0
+            } else {
+                0.01 * (1.0 + ((3 * i + j) % 5) as f64 * 2.0)
+            };
+        }
+    }
+    let stats = assert_paths_agree(&model_from_weights(n, &raw), 6000, 21);
+    assert!(stats.rejections > 0 && stats.scans > 0, "{stats:?}");
+}
+
+#[test]
+fn mass_only_on_taken_columns_picks_uniformly_at_n16() {
+    // All mass sits on columns 0..4: once earlier rows take those four
+    // columns, later rows have no mass left on any free column and take
+    // the uniform pick.
+    let n = 16;
+    let mut raw = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..4 {
+            raw[i * n + j] = 1.0 + ((i * 7 + j) % 4) as f64;
+        }
+    }
+    let stats = assert_paths_agree(&model_from_weights(n, &raw), 6000, 22);
+    assert!(stats.uniform_picks > 0, "{stats:?}");
+}
+
+#[test]
+fn warm_seeded_matrix_at_n20() {
+    // A warm-start prior: a degenerate matrix on a permutation with a
+    // few rows colliding on one column, blended toward uniform.
+    let n = 20;
+    let mut prior = vec![0.0; n * n];
+    for i in 0..n {
+        let j = if i % 5 == 0 { 0 } else { (i * 7) % n };
+        prior[i * n + j] = 1.0;
+    }
+    let prior = StochasticMatrix::from_rows(n, n, prior);
+    let model = PermutationModel::from_matrix(StochasticMatrix::warm_seed(&prior, 0.8));
+    let stats = assert_paths_agree(&model, 6000, 23);
+    assert!(stats.rejections > 0 && stats.scans > 0, "{stats:?}");
 }

@@ -10,7 +10,9 @@
 //! allocating, so per-iteration rebuilds (the CE matrix changes between
 //! iterations but not within one) stay off the allocator.
 
-use rand::Rng;
+use rand::RngCore;
+
+use crate::index::split_index;
 
 /// A preprocessed alias table over `n` outcomes.
 #[derive(Debug, Clone)]
@@ -117,14 +119,20 @@ impl AliasTable {
         self.prob.is_empty()
     }
 
-    /// Draw one outcome index in O(1).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let n = self.prob.len();
-        let cell = rng.random_range(0..n);
-        if rng.random::<f64>() < self.prob[cell] {
+    /// Draw one outcome index in O(1) from a single `u64`: the high
+    /// word of `u · n` picks the cell and the low word, read as a 53-bit
+    /// fraction, is the coin between the cell and its alias.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
+        let (cell, low) = split_index(rng.next_u64(), self.prob.len());
+        let coin = (low >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        // Both loads up front so the choice compiles to a select, not an
+        // unpredictable branch.
+        let alias = self.alias[cell];
+        if coin < self.prob[cell] {
             cell
         } else {
-            self.alias[cell]
+            alias
         }
     }
 }

@@ -15,7 +15,10 @@
 //! Thread 0 additionally owns the listener and deals new connections
 //! round-robin across the pool. Responses still travel through one mpsc
 //! channel per connection, preserving the out-of-order reply contract
-//! (workers answer jobs at their own pace; clients match on `id`).
+//! (workers answer jobs at their own pace; clients match on `id`). The
+//! channel's sending side is a [`ReplyTx`], which unparks the owning I/O
+//! thread after each send, so an idle loop parked for `IDLE_SLEEP`
+//! writes a finished reply at once instead of at its next timeout.
 //!
 //! Lifecycle: a connection is dropped once its peer is gone — read EOF
 //! or error — *and* every response owed to it has been written. The
@@ -31,17 +34,36 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::Duration;
 
 use crate::protocol::{encode_response_line, Response};
 
 /// Parsed-line handler supplied by the server: dispatch one request
 /// line, sending any responses through the connection's channel.
-pub(crate) type Dispatch = Arc<dyn Fn(&str, &mpsc::Sender<Response>) + Send + Sync>;
+pub(crate) type Dispatch = Arc<dyn Fn(&str, &ReplyTx) + Send + Sync>;
 
-/// How long an I/O thread sleeps when a full pass made no progress.
+/// How long an I/O thread parks when a full pass made no progress. A
+/// reply queued through [`ReplyTx`] ends the park early; new bytes on a
+/// socket are still noticed at the next timeout.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
+
+/// The sending side of one connection's response channel. Every send
+/// unparks the I/O thread that owns the connection.
+#[derive(Clone)]
+pub(crate) struct ReplyTx {
+    tx: mpsc::Sender<Response>,
+    io: Thread,
+}
+
+impl ReplyTx {
+    /// Queue `resp` for the connection and wake its I/O thread. A reply
+    /// to a connection that is already gone is dropped.
+    pub(crate) fn send(&self, resp: Response) {
+        let _ = self.tx.send(resp);
+        self.io.unpark();
+    }
+}
 
 /// Per-pass read chunk; connections buffer partial lines across passes.
 const READ_CHUNK: usize = 16 * 1024;
@@ -57,13 +79,14 @@ struct Conn {
     wpos: usize,
     /// Our clone of the response sender; dropped at read-EOF so that
     /// `rx` disconnects once the last in-flight job answers.
-    tx: Option<mpsc::Sender<Response>>,
+    tx: Option<ReplyTx>,
     rx: mpsc::Receiver<Response>,
     dead: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> io::Result<Self> {
+    /// Wrap `stream` for the poll loop running on thread `io`.
+    fn new(stream: TcpStream, io: Thread) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         let (tx, rx) = mpsc::channel();
         Ok(Conn {
@@ -71,7 +94,7 @@ impl Conn {
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            tx: Some(tx),
+            tx: Some(ReplyTx { tx, io }),
             rx,
             dead: false,
         })
@@ -226,6 +249,7 @@ fn io_loop(
     exit: &AtomicBool,
     dispatch: &Dispatch,
 ) {
+    let me = thread::current();
     let mut conns: Vec<Conn> = Vec::new();
     let mut next = 0usize;
     loop {
@@ -256,7 +280,7 @@ fn io_loop(
         }
 
         while let Ok(stream) = injector.try_recv() {
-            if let Ok(conn) = Conn::new(stream) {
+            if let Ok(conn) = Conn::new(stream, me.clone()) {
                 conns.push(conn);
                 progress = true;
             }
@@ -273,7 +297,7 @@ fn io_loop(
             break;
         }
         if !progress {
-            thread::sleep(IDLE_SLEEP);
+            thread::park_timeout(IDLE_SLEEP);
         }
     }
 }

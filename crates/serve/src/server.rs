@@ -91,7 +91,7 @@ use match_warmstore::{WarmEntry, WarmStore};
 use crate::cache::{CachedResult, LruCache};
 use crate::hash::{job_key, structure_hash};
 use crate::http;
-use crate::io as serve_io;
+use crate::io::{self as serve_io, ReplyTx};
 use crate::protocol::{
     parse_request, RemapRequest, Request, Response, SolveRequest, SolveResponse, StatsResponse,
 };
@@ -199,7 +199,7 @@ struct Job {
     /// the cache key does not cover the prior.
     remap: Option<RemapParams>,
     enqueued: Instant,
-    resp: mpsc::Sender<Response>,
+    resp: ReplyTx,
 }
 
 /// Trace sink shared across worker and connection threads.
@@ -586,27 +586,27 @@ impl ServerHandle {
 /// Dispatch one parsed request line from an I/O thread. Control ops
 /// answer inline; solves go through admission control. Never blocks on
 /// solver work.
-fn handle_request_line(line: &str, ctx: &Arc<Ctx>, tx: &mpsc::Sender<Response>) {
+fn handle_request_line(line: &str, ctx: &Arc<Ctx>, tx: &ReplyTx) {
     match parse_request(line) {
         Err(e) => {
-            let _ = tx.send(Response::Error {
+            tx.send(Response::Error {
                 id: String::new(),
                 error: e.to_string(),
             });
         }
         Ok(Request::Stats) => {
             ctx.sm.req_stats.inc();
-            let _ = tx.send(Response::Stats(ctx.stats_snapshot()));
+            tx.send(Response::Stats(ctx.stats_snapshot()));
         }
         Ok(Request::Metrics) => {
             ctx.sm.req_metrics.inc();
-            let _ = tx.send(Response::Metrics {
+            tx.send(Response::Metrics {
                 text: ctx.metrics.snapshot().to_prometheus(),
             });
         }
         Ok(Request::Shutdown) => {
             ctx.sm.req_shutdown.inc();
-            let _ = tx.send(Response::Bye);
+            tx.send(Response::Bye);
             ctx.request_shutdown();
             // The connection stays open: later solves on it get a
             // clean "shutting down" error instead of a hangup.
@@ -624,9 +624,9 @@ fn handle_request_line(line: &str, ctx: &Arc<Ctx>, tx: &mpsc::Sender<Response>) 
 
 /// Validate a solve or remap request and push it through admission
 /// control.
-fn admit(req: SolveRequest, remap: Option<RemapParams>, ctx: &Ctx, tx: &mpsc::Sender<Response>) {
+fn admit(req: SolveRequest, remap: Option<RemapParams>, ctx: &Ctx, tx: &ReplyTx) {
     let reject = |error: String| {
-        let _ = tx.send(Response::Error {
+        tx.send(Response::Error {
             id: req.id.clone(),
             error,
         });
@@ -720,7 +720,7 @@ fn admit(req: SolveRequest, remap: Option<RemapParams>, ctx: &Ctx, tx: &mpsc::Se
                 name: "rejected".into(),
                 value: 1,
             });
-            let _ = tx.send(Response::Rejected {
+            tx.send(Response::Rejected {
                 id: req.id.clone(),
                 queue_depth: depth as u64,
                 queue_cap: ctx.queue.capacity() as u64,
@@ -774,7 +774,7 @@ fn process_job(job: Job, ctx: &Ctx) {
             hit.cost,
             "cache_hit",
         );
-        let _ = job.resp.send(Response::Solved(SolveResponse {
+        job.resp.send(Response::Solved(SolveResponse {
             id: job.id,
             trace_id,
             algo: hit.algo,
@@ -875,7 +875,7 @@ fn process_job(job: Job, ctx: &Ctx) {
         _ => {
             let Some(mapper) = solvers::build_mapper_with(&job.algo, job.backend) else {
                 // Unreachable: admission validated the name. Answer anyway.
-                let _ = job.resp.send(Response::Error {
+                job.resp.send(Response::Error {
                     id: job.id,
                     error: format!("unknown algorithm `{}`", job.algo),
                 });
@@ -903,7 +903,7 @@ fn process_job(job: Job, ctx: &Ctx) {
         Err(msg) => {
             // A solver panic must not kill the worker thread; surface it
             // as a protocol error instead.
-            let _ = job.resp.send(Response::Error {
+            job.resp.send(Response::Error {
                 id: job.id,
                 error: format!("solver panicked: {msg}"),
             });
@@ -974,7 +974,7 @@ fn process_job(job: Job, ctx: &Ctx) {
         solved.cost,
         "cache_miss",
     );
-    let _ = job.resp.send(Response::Solved(SolveResponse {
+    job.resp.send(Response::Solved(SolveResponse {
         id: job.id,
         trace_id,
         algo: solved.algo,
@@ -1049,7 +1049,7 @@ fn process_remap(job: Job, ctx: &Ctx) {
     let outcome = match run {
         Ok(outcome) => outcome,
         Err(payload) => {
-            let _ = job.resp.send(Response::Error {
+            job.resp.send(Response::Error {
                 id: job.id,
                 error: format!("solver panicked: {}", panic_message(payload)),
             });
@@ -1090,7 +1090,7 @@ fn process_remap(job: Job, ctx: &Ctx) {
         outcome.cost,
         "remap",
     );
-    let _ = job.resp.send(Response::Solved(SolveResponse {
+    job.resp.send(Response::Solved(SolveResponse {
         id: job.id,
         trace_id,
         algo: "MaTCH".to_string(),
