@@ -2,9 +2,9 @@
 //! MaTCH draws `2|V|²` GenPerm samples per iteration; this is the other
 //! half of its per-iteration cost next to objective evaluation.
 //!
-//! The `sampling_*` groups compare the two batch pipelines end to end:
-//! sequential restricted-roulette draws on one thread versus the fused
-//! alias-table flat batch (single- and multi-threaded). The standalone
+//! The `sampling_*` groups compare whole batches: the reference
+//! restricted-roulette draw on one thread versus the alias-table flat
+//! batch the CE pipeline runs (single- and multi-threaded). The standalone
 //! `match-bench` `sampling` binary emits the same comparison as a JSON
 //! artefact for CI.
 
@@ -101,7 +101,7 @@ fn bench_degenerate(c: &mut Criterion) {
     group.finish();
 }
 
-/// A whole `N = 2n²` batch via the legacy sequential path: per-sample
+/// A whole `N = 2n²` batch via the model-level reference draw: per-sample
 /// `Vec` allocations, restricted-roulette draws on the calling thread.
 fn bench_batch_sequential(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampling_batch_sequential");

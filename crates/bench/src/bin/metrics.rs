@@ -26,7 +26,7 @@
 //! is recorded for trend tracking but not gated (it pays for real
 //! atomic traffic and is allowed to cost a few percent).
 
-use match_core::{Mapper, MappingInstance, MatchConfig, Matcher, SamplerMode};
+use match_core::{Mapper, MappingInstance, MatchConfig, Matcher};
 use match_graph::gen::InstanceGenerator;
 use match_metrics::{Metrics, MetricsRecorder};
 use match_telemetry::{NullRecorder, Recorder};
@@ -42,7 +42,6 @@ const MAX_NULL_OVERHEAD_PCT: f64 = 2.0;
 fn one_solve(inst: &MappingInstance, threads: usize, recorder: &mut dyn Recorder) -> (f64, f64) {
     let matcher = Matcher::new(MatchConfig {
         threads,
-        sampler: SamplerMode::Batched,
         max_iters: 25,
         ..MatchConfig::default()
     });

@@ -19,9 +19,7 @@
 //! loses: the wall-clock gate requires multilevel to be strictly faster
 //! at every n ≥ 512 while producing far better mappings.
 
-use match_core::{
-    exec_time, Mapper, MappingInstance, MatchConfig, Matcher, MultilevelConfig, SamplerMode,
-};
+use match_core::{exec_time, Mapper, MappingInstance, MatchConfig, Matcher, MultilevelConfig};
 use match_graph::gen::InstanceGenerator;
 use match_multilevel::MultilevelMapper;
 use rand::rngs::StdRng;
@@ -51,7 +49,6 @@ fn flat_config(n: usize, threads: usize) -> MatchConfig {
     let capped = n >= 512;
     MatchConfig {
         threads,
-        sampler: SamplerMode::Batched,
         sample_size: capped.then(|| (2 * n * n).min(32_768)),
         max_iters: if capped { 10 } else { 60 },
         ..MatchConfig::default()

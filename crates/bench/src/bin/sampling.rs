@@ -1,5 +1,7 @@
-//! Sampling-pipeline benchmark: sequential GenPerm batches versus the
-//! fused flat alias pipeline, emitted as a machine-readable JSON artefact
+//! Sampling benchmark: the model-level reference GenPerm draw
+//! (`CeModel::sample_batch`, one `sample_into` per sample, kept as the
+//! chi-square reference) versus the flat alias sampler the CE pipeline
+//! runs, emitted as a machine-readable JSON artefact
 //! (`BENCH_sampling.json`) for CI trend tracking.
 //!
 //! ```text
@@ -8,9 +10,9 @@
 //! cargo run -p match-bench --release --bin sampling -- --json out.json --check
 //! ```
 //!
-//! `--check` exits non-zero when the batched pipeline (at the default
-//! thread count) is slower than the sequential one for any `n ≥ 32` —
-//! the CI smoke gate for the fused sample+evaluate path.
+//! `--check` exits non-zero when the flat sampler (at the default thread
+//! count) is slower than the reference draw for any `n ≥ 32` — the CI
+//! smoke gate for the sampling half of the fused pipeline.
 //!
 //! The uniform matrix is the cheapest state for the flat sampler: once a
 //! run concentrates probability on columns that earlier rows took,
@@ -18,13 +20,14 @@
 //! bench also records one batched solve at n = 32 and n = 48 (n = 32
 //! only with `--quick`; `snapshot_every = 1`) and times the flat sampler on one thread at
 //! the stochastic matrices reached after 0%, 25%, 50% and 90% of that
-//! run's iterations, with its spin, rejection and scan counts. The JSON
-//! records the host: CPU count, CPU model and SIMD level.
+//! run's iterations, with its spin, rejection and scan counts. It ends
+//! with one full MaTCH solve (`matcher_mt`). The JSON records the host:
+//! CPU count, CPU model and SIMD level.
 
 use match_ce::batch::{DrawStats, FlatSampler};
 use match_ce::model::CeModel;
 use match_ce::PermutationModel;
-use match_core::{exec_time, MappingInstance, MatchConfig, Matcher, SamplerMode};
+use match_core::{exec_time, MappingInstance, MatchConfig, Matcher};
 use match_graph::gen::InstanceGenerator;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,7 +123,6 @@ fn snapshot_states(n: usize, reps: usize) -> (usize, Vec<StateTiming>) {
     );
     let cfg = MatchConfig {
         threads: 1,
-        sampler: SamplerMode::Batched,
         snapshot_every: Some(1),
         ..MatchConfig::default()
     };
@@ -158,37 +160,11 @@ fn snapshot_states(n: usize, reps: usize) -> (usize, Vec<StateTiming>) {
     (run.iterations, states)
 }
 
-/// The host a measurement came from: CPU count, CPU model, SIMD level.
-fn host_json() -> String {
-    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().replace('"', "'"))
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    #[cfg(target_arch = "x86_64")]
-    let simd = if std::arch::is_x86_feature_detected!("avx512f") {
-        "avx512f"
-    } else if std::arch::is_x86_feature_detected!("avx2") {
-        "avx2"
-    } else {
-        "sse2"
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd = std::env::consts::ARCH;
-    format!("{{\"nproc\": {nproc}, \"cpu\": \"{cpu}\", \"simd\": \"{simd}\"}}")
-}
-
-/// End-to-end mapping time: one full MaTCH solve per sampler mode, same
-/// instance, same seed, bounded iteration budget.
-fn matcher_mt(inst: &MappingInstance, mode: SamplerMode, threads: usize) -> (f64, f64) {
+/// End-to-end mapping time: one full MaTCH solve with a bounded
+/// iteration budget.
+fn matcher_mt(inst: &MappingInstance, threads: usize) -> (f64, f64) {
     let cfg = MatchConfig {
         threads,
-        sampler: mode,
         max_iters: 25,
         ..MatchConfig::default()
     };
@@ -281,19 +257,16 @@ fn main() {
         ));
     }
 
-    // End-to-end MT at the largest size: full solves, equal seed.
+    // End-to-end MT at the largest size.
     let mt_n = *sizes.last().unwrap();
     let inst = MappingInstance::from_pair(
         &InstanceGenerator::paper_family(mt_n).generate(&mut StdRng::seed_from_u64(40)),
     );
-    let (seq_ms, seq_cost) = matcher_mt(&inst, SamplerMode::Sequential, 1);
-    let (bat_ms, bat_cost) = matcher_mt(&inst, SamplerMode::Batched, threads);
-    let mt_speedup = seq_ms / bat_ms;
+    let (bat_ms, bat_cost) = matcher_mt(&inst, threads);
     eprintln!(
-        "[sampling] matcher n={mt_n}: sequential(t1) {seq_ms:.1} ms (cost {seq_cost:.1}) | \
-         batched(t{threads}) {bat_ms:.1} ms (cost {bat_cost:.1})  ({mt_speedup:.2}x MT)"
+        "[sampling] matcher n={mt_n}: batched(t{threads}) {bat_ms:.1} ms (cost {bat_cost:.1})"
     );
-    // Sanity: both modes optimise; costs must be in the same ballpark.
+    // Sanity: the solve optimises.
     let rand_cost = exec_time(
         &inst,
         &match_rngutil::random_permutation(mt_n, &mut StdRng::seed_from_u64(42)),
@@ -307,10 +280,9 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"sampling\",\n  \"host\": {},\n  \"threads\": {threads},\n  \
          \"sizes\": [\n{}\n  ],\n  \"snapshot_states\": [\n{}\n  ],\n  \
-         \"matcher_mt\": {{\"n\": {mt_n}, \"sequential_t1_ms\": {seq_ms:.1}, \
-         \"batched_ms\": {bat_ms:.1}, \"speedup\": {mt_speedup:.3}, \
-         \"sequential_cost\": {seq_cost:.3}, \"batched_cost\": {bat_cost:.3}}}\n}}\n",
-        host_json(),
+         \"matcher_mt\": {{\"n\": {mt_n}, \"batched_ms\": {bat_ms:.1}, \
+         \"batched_cost\": {bat_cost:.3}}}\n}}\n",
+        match_bench::history::host_json(),
         entries.join(",\n"),
         snapshot_entries.join(",\n")
     );

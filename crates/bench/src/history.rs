@@ -10,7 +10,7 @@
 //! ```
 //!
 //! where `bench` is the artefact compacted onto one line. The file
-//! stays `jq`-friendly: `jq -s 'map(.bench.matcher_mt.speedup)'`.
+//! stays `jq`-friendly: `jq -s 'map(.bench.matcher_mt.batched_ms)'`.
 
 use std::fmt::Write as _;
 
@@ -72,6 +72,32 @@ pub fn history_line(label: &str, source: &str, body: &str) -> String {
         escape(source),
         compact_json(body)
     )
+}
+
+/// The host a measurement came from, as the JSON object every
+/// `BENCH_*.json` artefact records: CPU count, CPU model, SIMD level.
+pub fn host_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    #[cfg(target_arch = "x86_64")]
+    let simd = if std::arch::is_x86_feature_detected!("avx512f") {
+        "avx512f"
+    } else if std::arch::is_x86_feature_detected!("avx2") {
+        "avx2"
+    } else {
+        "sse2"
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd = std::env::consts::ARCH;
+    format!("{{\"nproc\": {nproc}, \"cpu\": \"{cpu}\", \"simd\": \"{simd}\"}}")
 }
 
 #[cfg(test)]

@@ -191,9 +191,8 @@ pub trait FlatEvaluator: Sync {
 }
 
 /// Adapter lifting a per-row scoring closure to a [`FlatEvaluator`]
-/// (no batch-level setup, so the chunk call is just a loop). This is
-/// what [`minimize_flat`](crate::driver::minimize_flat) wraps its
-/// closure argument in.
+/// (no batch-level setup, so the chunk call is just a loop): wrap a
+/// closure in it to drive [`minimize_flat`](crate::driver::minimize_flat).
 pub struct RowEval<F>(pub F);
 
 impl<F> FlatEvaluator for RowEval<F>

@@ -6,14 +6,17 @@
 //! per-row maxima `μ^i` have been stable for `c` consecutive iterations
 //! (Eq. 12) or the model has degenerated.
 //!
-//! Evaluation is pluggable as a *batch* closure so callers can evaluate
-//! samples in parallel (the `Matcher` in `match-core` plugs in
-//! `match-par`); an observer hook receives the model after each update,
-//! which is how Figure 3's matrix snapshots are collected.
+//! Two loops share the elite selection and the stopping rules:
+//! [`minimize`] scores samples one at a time through a closure (the
+//! generic form, for any [`CeModel`]), and [`minimize_flat`] is the fused
+//! parallel sample+evaluate pipeline for fixed-width [`FlatSampler`]
+//! models, which the MaTCH solver in `match-core` runs. Its observer hook
+//! receives the model after each update, which is how Figure 3's matrix
+//! snapshots are collected.
 
-use crate::batch::{DrawStats, FlatBatch, FlatEvaluator, FlatSampler, RowEval};
+use crate::batch::{DrawStats, FlatBatch, FlatEvaluator, FlatSampler};
 use crate::model::CeModel;
-use match_telemetry::{Event, IterEvent, NullRecorder, PoolEvent, Recorder, Span, SpanEvent};
+use match_telemetry::{Event, IterEvent, PoolEvent, Recorder, Span, SpanEvent};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -153,7 +156,10 @@ pub struct CeOutcome<S> {
     pub telemetry: CeTelemetry,
 }
 
-/// Minimise `score` over samples of `model`, with per-sample evaluation.
+/// Minimise `score` over samples of `model`, with per-sample evaluation
+/// on the calling thread — the generic loop of Figure 2 for any
+/// [`CeModel`] (the benchmark COPs of [`crate::problems`]). Mapping
+/// solvers run the fused parallel loop, [`minimize_flat`].
 pub fn minimize<M, F>(
     model: &mut M,
     config: &CeConfig,
@@ -165,229 +171,53 @@ where
     M::Sample: Clone,
     F: FnMut(&M::Sample) -> f64,
 {
-    minimize_with(
-        model,
-        config,
-        rng,
-        |samples| samples.iter().map(&mut score).collect(),
-        |_, _| {},
-    )
-}
-
-/// Minimise with a batch evaluator (enables parallel evaluation) and a
-/// per-iteration observer called after each model update with
-/// `(iteration, &model)`.
-pub fn minimize_with<M, E, O>(
-    model: &mut M,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    mut evaluate: E,
-    observe: O,
-) -> CeOutcome<M::Sample>
-where
-    M: CeModel,
-    M::Sample: Clone,
-    E: FnMut(&[M::Sample]) -> Vec<f64>,
-    O: FnMut(usize, &M),
-{
-    minimize_traced(
-        model,
-        config,
-        rng,
-        |samples, _recorder| evaluate(samples),
-        observe,
-        &mut NullRecorder,
-    )
-}
-
-/// [`minimize_with`] plus live telemetry: per-iteration [`IterEvent`]s
-/// (γ, best, mean, elite size, wall time) and `sample`/`evaluate`/
-/// `update` spans go to `recorder`. The batch evaluator receives the
-/// recorder so it can attach its own events (e.g. `match-par` chunk
-/// timings) to the same stream.
-///
-/// With a [`NullRecorder`] this is exactly `minimize_with`: event
-/// construction and clock reads are skipped when
-/// [`Recorder::enabled`] is `false`.
-pub fn minimize_traced<M, E, O>(
-    model: &mut M,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    evaluate: E,
-    observe: O,
-    recorder: &mut dyn Recorder,
-) -> CeOutcome<M::Sample>
-where
-    M: CeModel,
-    M::Sample: Clone,
-    E: FnMut(&[M::Sample], &mut dyn Recorder) -> Vec<f64>,
-    O: FnMut(usize, &M),
-{
-    minimize_controlled(model, config, rng, evaluate, observe, recorder, &|| false)
-}
-
-/// [`minimize_traced`] with cooperative cancellation: `should_stop` is
-/// polled once per iteration (after the incumbent update, so at least
-/// one iteration always completes and the outcome always holds a valid
-/// best sample). When it fires the loop exits with
-/// [`StopReason::Cancelled`].
-///
-/// The predicate is a plain closure rather than a token type so this
-/// crate stays independent of `match-core` (which depends on it);
-/// callers thread `StopToken::should_stop` through here. Polling must
-/// not consume randomness — an uncancelled run follows exactly the
-/// same RNG trajectory as [`minimize_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn minimize_controlled<M, E, O>(
-    model: &mut M,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    mut evaluate: E,
-    mut observe: O,
-    recorder: &mut dyn Recorder,
-    should_stop: &dyn Fn() -> bool,
-) -> CeOutcome<M::Sample>
-where
-    M: CeModel,
-    M::Sample: Clone,
-    E: FnMut(&[M::Sample], &mut dyn Recorder) -> Vec<f64>,
-    O: FnMut(usize, &M),
-{
     config.validate();
-    let traced = recorder.enabled();
     let n = config.sample_size;
     let elite_target = ((config.rho * n as f64).floor() as usize).max(1);
 
     let mut best_sample: Option<M::Sample> = None;
     let mut best_cost = f64::INFINITY;
     let mut telemetry = CeTelemetry::default();
-    let mut evaluations: u64 = 0;
-
-    let mut prev_signature: Option<Vec<f64>> = None;
-    let mut stable_iters = 0usize;
-    let mut prev_gamma: Option<f64> = None;
-    let mut gamma_stable = 0usize;
+    let mut rules = StopRules::default();
     let mut stop_reason = StopReason::MaxIters;
     let mut iterations = 0usize;
     let mut samples: Vec<M::Sample> = Vec::with_capacity(n);
+    let mut costs: Vec<f64> = Vec::with_capacity(n);
 
     for iter in 0..config.max_iters {
         iterations = iter + 1;
-        let iter_start = traced.then(Instant::now);
-
-        // Step 3 (Fig. 5): draw the sample batch (buffer reused across
-        // iterations; the default `sample_batch` keeps the historical
-        // per-sample RNG stream bit-identical).
-        let span = traced.then(|| Span::start("sample", iter as u64));
+        // Step 3 (Fig. 5): draw and score the sample batch (buffers
+        // reused across iterations).
         model.sample_batch(rng, n, &mut samples);
-        if let Some(span) = span {
-            span.finish(recorder);
-        }
-        let span = traced.then(|| Span::start("evaluate", iter as u64));
-        let costs = evaluate(&samples, recorder);
-        if let Some(span) = span {
-            span.finish(recorder);
-        }
-        assert_eq!(
-            costs.len(),
-            samples.len(),
-            "evaluator returned wrong length"
-        );
-        evaluations += n as u64;
-        if traced {
-            recorder.record(Event::Counter {
-                name: "evaluations".into(),
-                value: n as u64,
-            });
-        }
+        costs.clear();
+        costs.extend(samples.iter().map(&mut score));
 
         // Steps 4–5: the ρ-quantile threshold γ and the elite set, in
         // O(N) expected instead of a full sort.
         let selection = select_elites(&costs, elite_target);
-        let gamma = selection.gamma;
         let elites: Vec<M::Sample> = selection
             .elites
             .iter()
             .map(|&i| samples[i].clone())
             .collect();
-        let elite_count = elites.len();
 
-        // Track the incumbent.
+        // Track the incumbent. `<` alone would never capture a sample
+        // when every cost is +∞ (all-infeasible iterations of penalised
+        // formulations).
         let first = selection.best;
-        // `<` alone would never capture a sample when every cost is +∞
-        // (all-infeasible iterations of penalised formulations).
         if best_sample.is_none() || costs[first] < best_cost {
             best_cost = costs[first];
             best_sample = Some(samples[first].clone());
         }
 
         // Step 6: ML update + smoothing.
-        let span = traced.then(|| Span::start("update", iter as u64));
         model.update_from_elites(&elites, config.zeta);
-        if let Some(span) = span {
-            span.finish(recorder);
-        }
-        observe(iter, model);
+        telemetry
+            .iters
+            .push(IterStats::of(iter, &selection, &costs, model.entropy()));
 
-        let mean = costs.iter().sum::<f64>() / n as f64;
-        telemetry.iters.push(IterStats {
-            iter,
-            gamma,
-            best: costs[first],
-            mean,
-            worst: selection.worst,
-            elite_count,
-            entropy: model.entropy(),
-        });
-        if let Some(start) = iter_start {
-            recorder.record(Event::Iter(IterEvent {
-                iter: iter as u64,
-                best: costs[first],
-                mean,
-                gamma: Some(gamma),
-                elite_size: elite_count as u64,
-                wall_ns: start.elapsed().as_nanos() as u64,
-            }));
-        }
-
-        // Step 8: μ-stability (Eq. 12), plus degeneracy early-out.
-        let signature = model.stability_signature();
-        if let Some(prev) = &prev_signature {
-            let stable = prev
-                .iter()
-                .zip(&signature)
-                .all(|(a, b)| (a - b).abs() <= config.stability_tol);
-            stable_iters = if stable { stable_iters + 1 } else { 0 };
-        }
-        prev_signature = Some(signature);
-        if stable_iters >= config.stability_window {
-            stop_reason = StopReason::MuStable;
-            break;
-        }
-        // Figure 2's γ-stability rule.
-        if config.gamma_window > 0 {
-            if let Some(pg) = prev_gamma {
-                let equal = if pg.is_finite() && gamma.is_finite() {
-                    (pg - gamma).abs() <= config.gamma_tol * (1.0 + pg.abs())
-                } else {
-                    pg == gamma
-                };
-                gamma_stable = if equal { gamma_stable + 1 } else { 0 };
-            }
-            prev_gamma = Some(gamma);
-            if gamma_stable >= config.gamma_window {
-                stop_reason = StopReason::GammaStable;
-                break;
-            }
-        }
-        if model.is_degenerate(config.degeneracy_tol) {
-            stop_reason = StopReason::Degenerate;
-            break;
-        }
-        // Cooperative cancellation, polled last so the incumbent from
-        // this iteration is already captured.
-        if should_stop() {
-            stop_reason = StopReason::Cancelled;
+        if let Some(reason) = rules.check(config, model, selection.gamma) {
+            stop_reason = reason;
             break;
         }
     }
@@ -396,9 +226,77 @@ where
         best_sample: best_sample.expect("at least one iteration ran"),
         best_cost,
         iterations,
-        evaluations,
+        evaluations: iterations as u64 * n as u64,
         stop_reason,
         telemetry,
+    }
+}
+
+/// The stopping rules both loops check after every model update: Step 8
+/// (μ-stability, Eq. 12), Figure 2's γ-stability rule, and the
+/// degeneracy early-out, in that order.
+#[derive(Default)]
+struct StopRules {
+    prev_signature: Option<Vec<f64>>,
+    stable_iters: usize,
+    prev_gamma: Option<f64>,
+    gamma_stable: usize,
+}
+
+impl StopRules {
+    /// Feed one iteration's updated `model` and elite threshold `gamma`;
+    /// `Some(reason)` when the loop must stop.
+    fn check<M: CeModel>(
+        &mut self,
+        config: &CeConfig,
+        model: &M,
+        gamma: f64,
+    ) -> Option<StopReason> {
+        let signature = model.stability_signature();
+        if let Some(prev) = &self.prev_signature {
+            let stable = prev
+                .iter()
+                .zip(&signature)
+                .all(|(a, b)| (a - b).abs() <= config.stability_tol);
+            self.stable_iters = if stable { self.stable_iters + 1 } else { 0 };
+        }
+        self.prev_signature = Some(signature);
+        if self.stable_iters >= config.stability_window {
+            return Some(StopReason::MuStable);
+        }
+        if config.gamma_window > 0 {
+            if let Some(pg) = self.prev_gamma {
+                let equal = if pg.is_finite() && gamma.is_finite() {
+                    (pg - gamma).abs() <= config.gamma_tol * (1.0 + pg.abs())
+                } else {
+                    pg == gamma
+                };
+                self.gamma_stable = if equal { self.gamma_stable + 1 } else { 0 };
+            }
+            self.prev_gamma = Some(gamma);
+            if self.gamma_stable >= config.gamma_window {
+                return Some(StopReason::GammaStable);
+            }
+        }
+        model
+            .is_degenerate(config.degeneracy_tol)
+            .then_some(StopReason::Degenerate)
+    }
+}
+
+impl IterStats {
+    /// The record of iteration `iter`, from its elite selection over
+    /// `costs` and the model entropy after the update.
+    fn of(iter: usize, selection: &EliteSelection, costs: &[f64], entropy: f64) -> IterStats {
+        IterStats {
+            iter,
+            gamma: selection.gamma,
+            best: costs[selection.best],
+            mean: costs.iter().sum::<f64>() / costs.len() as f64,
+            worst: selection.worst,
+            elite_count: selection.elites.len(),
+            entropy,
+        }
     }
 }
 
@@ -453,64 +351,33 @@ pub fn select_elites(costs: &[f64], elite_target: usize) -> EliteSelection {
 
 /// The fused parallel CE loop for [`FlatSampler`] models: per iteration,
 /// the `N`-sample batch is split into `match-par` row chunks and each
-/// worker **draws and scores its rows in the same pass**, writing into
-/// one flat `N × width` buffer — no per-sample allocation, no
-/// sample-then-evaluate barrier.
+/// worker **draws its rows, then scores the chunk in one
+/// [`FlatEvaluator::evaluate_rows`] call**, writing into one flat
+/// `N × width` buffer — no per-sample allocation, no sample-then-evaluate
+/// barrier. A batch evaluator amortises its setup (the SoA transpose and
+/// lane buffers of `match-core`'s kernel) across a chunk; a per-row
+/// closure plugs in through [`RowEval`](crate::batch::RowEval).
 ///
 /// Determinism: the driver RNG is consumed exactly once per iteration
 /// (one `u64` → the iteration seed); sample `i` draws from its own
 /// counter-based `match_rngutil::SplitMix64::stream(iter_seed, i)` —
 /// two mixes to set up instead of a full `StdRng` key expansion per
-/// sample. Results are therefore identical for every `threads` value
-/// and chunking — though the stream differs from the sequential
-/// [`minimize_controlled`] path.
+/// sample. Evaluation is pure, so chunk boundaries only regroup the
+/// evaluator's batches: results are identical for every `threads` value
+/// and chunking.
+///
+/// `observe(iter, &model)` runs after every model update (Figure 3's
+/// matrix snapshots). `should_stop` is polled once per iteration, after
+/// the incumbent update and the stopping rules, so at least one
+/// iteration always completes; when it fires the loop exits with
+/// [`StopReason::Cancelled`]. Polling consumes no randomness.
 ///
 /// When `recorder` is enabled, the fused region still reports separate
 /// `sample` / `evaluate` spans: workers accumulate per-phase nanoseconds
 /// and the region's wall clock is split proportionally (table builds
 /// count as sampling). Per-chunk [`PoolEvent`]s expose dispatch balance.
 #[allow(clippy::too_many_arguments)]
-pub fn minimize_flat<M, F, O>(
-    model: &mut M,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    threads: usize,
-    evaluate: F,
-    observe: O,
-    recorder: &mut dyn Recorder,
-    should_stop: &dyn Fn() -> bool,
-) -> CeOutcome<Vec<usize>>
-where
-    M: FlatSampler,
-    F: Fn(&[usize]) -> f64 + Sync,
-    O: FnMut(usize, &M),
-{
-    minimize_flat_with(
-        model,
-        config,
-        rng,
-        threads,
-        &RowEval(evaluate),
-        observe,
-        recorder,
-        should_stop,
-    )
-}
-
-/// [`minimize_flat`] with a [`FlatEvaluator`] instead of a per-row
-/// closure: each worker samples its whole chunk of rows first, then
-/// scores the chunk in **one** `evaluate_rows` call — the hook that
-/// lets `match-core`'s SIMD-style batch kernel amortise its transpose
-/// and lane buffers across a chunk.
-///
-/// The RNG contract is unchanged from [`minimize_flat`] (one driver
-/// draw per iteration, sample `i` from `SplitMix64::stream(iter_seed,
-/// i)`), and evaluation is pure, so for a bit-exact evaluator the
-/// trajectory is identical to the per-row pipeline — and still
-/// thread-count invariant, because chunk boundaries only regroup the
-/// evaluator's batches, never reorder any per-sample computation.
-#[allow(clippy::too_many_arguments)]
-pub fn minimize_flat_with<M, E, O>(
+pub fn minimize_flat<M, E, O>(
     model: &mut M,
     config: &CeConfig,
     rng: &mut StdRng,
@@ -535,11 +402,7 @@ where
     let mut best_cost = f64::INFINITY;
     let mut telemetry = CeTelemetry::default();
     let mut evaluations: u64 = 0;
-
-    let mut prev_signature: Option<Vec<f64>> = None;
-    let mut stable_iters = 0usize;
-    let mut prev_gamma: Option<f64> = None;
-    let mut gamma_stable = 0usize;
+    let mut rules = StopRules::default();
     let mut stop_reason = StopReason::MaxIters;
     let mut iterations = 0usize;
 
@@ -616,8 +479,8 @@ where
         if let Some(start) = region_start {
             // Split the fused region's wall clock between the two logical
             // phases in proportion to the workers' accumulated time, so
-            // phase budgets in `matchctl report` stay comparable with the
-            // sequential pipeline. Table builds count as sampling.
+            // `matchctl report` can budget sampling and evaluation
+            // separately. Table builds count as sampling.
             let wall = start.elapsed().as_nanos() as u64;
             let s = prep_ns + sample_ns.load(Ordering::Relaxed);
             let e = eval_ns.load(Ordering::Relaxed);
@@ -649,8 +512,6 @@ where
 
         // Steps 4–5: γ and the elite set, O(N) expected.
         let selection = select_elites(&costs, elite_target);
-        let gamma = selection.gamma;
-        let elite_count = selection.elites.len();
 
         // Track the incumbent.
         let first = selection.best;
@@ -671,60 +532,25 @@ where
         }
         observe(iter, model);
 
-        let mean = costs.iter().sum::<f64>() / n as f64;
-        telemetry.iters.push(IterStats {
-            iter,
-            gamma,
-            best: costs[first],
-            mean,
-            worst: selection.worst,
-            elite_count,
-            entropy: model.entropy(),
-        });
+        let stats = IterStats::of(iter, &selection, &costs, model.entropy());
         if let Some(start) = iter_start {
             recorder.record(Event::Iter(IterEvent {
                 iter: iter as u64,
-                best: costs[first],
-                mean,
-                gamma: Some(gamma),
-                elite_size: elite_count as u64,
+                best: stats.best,
+                mean: stats.mean,
+                gamma: Some(stats.gamma),
+                elite_size: stats.elite_count as u64,
                 wall_ns: start.elapsed().as_nanos() as u64,
             }));
         }
+        telemetry.iters.push(stats);
 
-        // Stopping rules: identical to `minimize_controlled`.
-        let signature = model.stability_signature();
-        if let Some(prev) = &prev_signature {
-            let stable = prev
-                .iter()
-                .zip(&signature)
-                .all(|(a, b)| (a - b).abs() <= config.stability_tol);
-            stable_iters = if stable { stable_iters + 1 } else { 0 };
-        }
-        prev_signature = Some(signature);
-        if stable_iters >= config.stability_window {
-            stop_reason = StopReason::MuStable;
+        if let Some(reason) = rules.check(config, model, selection.gamma) {
+            stop_reason = reason;
             break;
         }
-        if config.gamma_window > 0 {
-            if let Some(pg) = prev_gamma {
-                let equal = if pg.is_finite() && gamma.is_finite() {
-                    (pg - gamma).abs() <= config.gamma_tol * (1.0 + pg.abs())
-                } else {
-                    pg == gamma
-                };
-                gamma_stable = if equal { gamma_stable + 1 } else { 0 };
-            }
-            prev_gamma = Some(gamma);
-            if gamma_stable >= config.gamma_window {
-                stop_reason = StopReason::GammaStable;
-                break;
-            }
-        }
-        if model.is_degenerate(config.degeneracy_tol) {
-            stop_reason = StopReason::Degenerate;
-            break;
-        }
+        // Cooperative cancellation, polled last so the incumbent from
+        // this iteration is already captured.
         if should_stop() {
             stop_reason = StopReason::Cancelled;
             break;
@@ -741,62 +567,19 @@ where
     }
 }
 
-/// Warm-started [`minimize_flat_with`] for the permutation family: seed
-/// the stochastic matrix as `α·prior + (1 − α)·uniform`
-/// ([`StochasticMatrix::warm_seed`]) instead of uniform, run the fused
-/// flat loop, and return the **converged** matrix alongside the outcome
-/// so the caller can persist it as the next request's prior.
-///
-/// `α = 0` (or a `prior` of the wrong shape) reproduces the cold path
-/// bit-for-bit: `warm_seed` returns the exact uniform matrix and the
-/// loop below is the same code `minimize_flat_with` runs on a
-/// `PermutationModel::uniform` model.
-#[allow(clippy::too_many_arguments)]
-pub fn minimize_flat_from<E, O>(
-    prior: Option<&crate::stochmatrix::StochasticMatrix>,
-    alpha: f64,
-    n_rows: usize,
-    config: &CeConfig,
-    rng: &mut StdRng,
-    threads: usize,
-    evaluator: &E,
-    observe: O,
-    recorder: &mut dyn Recorder,
-    should_stop: &dyn Fn() -> bool,
-) -> (CeOutcome<Vec<usize>>, crate::stochmatrix::StochasticMatrix)
-where
-    E: FlatEvaluator,
-    O: FnMut(usize, &crate::models::permutation::PermutationModel),
-{
-    use crate::models::permutation::PermutationModel;
-    use crate::stochmatrix::StochasticMatrix;
-    let init = match prior {
-        Some(p) if alpha > 0.0 && p.rows() == n_rows && p.cols() == n_rows => {
-            StochasticMatrix::warm_seed(p, alpha)
-        }
-        _ => StochasticMatrix::uniform(n_rows, n_rows),
-    };
-    let mut model = PermutationModel::from_matrix(init);
-    let out = minimize_flat_with(
-        &mut model,
-        config,
-        rng,
-        threads,
-        evaluator,
-        observe,
-        recorder,
-        should_stop,
-    );
-    let converged = model.matrix().clone();
-    (out, converged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::RowEval;
     use crate::models::bernoulli::BernoulliModel;
     use crate::models::permutation::PermutationModel;
+    use match_telemetry::NullRecorder;
     use rand::SeedableRng;
+
+    /// Hidden-permutation cost: positions that differ from `target`.
+    fn distance(target: &[usize]) -> impl Fn(&[usize]) -> f64 + Sync + '_ {
+        move |s: &[usize]| s.iter().zip(target).filter(|(a, b)| a != b).count() as f64
+    }
 
     /// Cost: number of coordinates that differ from a hidden target.
     fn hamming_cost(target: &[bool]) -> impl Fn(&Vec<bool>) -> f64 + '_ {
@@ -862,21 +645,20 @@ mod tests {
 
     #[test]
     fn observer_sees_every_iteration() {
-        let mut model = BernoulliModel::uniform(4);
+        let target = [2usize, 0, 3, 1];
+        let mut model = PermutationModel::uniform(target.len());
         let cfg = CeConfig::with_sample_size(30);
         let mut rng = StdRng::seed_from_u64(85);
         let mut seen = Vec::new();
-        let out = minimize_with(
+        let out = minimize_flat(
             &mut model,
             &cfg,
             &mut rng,
-            |samples| {
-                samples
-                    .iter()
-                    .map(|s| s.iter().filter(|&&b| b).count() as f64)
-                    .collect()
-            },
+            1,
+            &RowEval(distance(&target)),
             |iter, _m| seen.push(iter),
+            &mut NullRecorder,
+            &|| false,
         );
         assert_eq!(seen.len(), out.iterations);
         assert_eq!(seen, (0..out.iterations).collect::<Vec<_>>());
@@ -971,22 +753,18 @@ mod tests {
 
     #[test]
     fn cancellation_fires_after_one_iteration() {
-        use match_telemetry::NullRecorder;
         // A hostile predicate that is always true still lets one
         // iteration run, so the outcome has a valid incumbent.
-        let mut model = BernoulliModel::uniform(16);
+        let target: Vec<usize> = (0..16).rev().collect();
+        let mut model = PermutationModel::uniform(target.len());
         let cfg = CeConfig::with_sample_size(20);
         let mut rng = StdRng::seed_from_u64(91);
-        let out = minimize_controlled(
+        let out = minimize_flat(
             &mut model,
             &cfg,
             &mut rng,
-            |samples, _r| {
-                samples
-                    .iter()
-                    .map(|s| s.iter().filter(|&&b| b).count() as f64)
-                    .collect()
-            },
+            1,
+            &RowEval(distance(&target)),
             |_, _| {},
             &mut NullRecorder,
             &|| true,
@@ -998,33 +776,36 @@ mod tests {
 
     #[test]
     fn never_firing_predicate_changes_nothing() {
-        // Same seed, with and without a (never-firing) stop predicate:
-        // identical trajectories, because polling consumes no RNG.
-        use match_telemetry::NullRecorder;
-        let target = vec![true, false, true, true, false, false, true, false];
+        // Same seed, with a constant and with a polled-and-counted
+        // (never-firing) stop predicate: identical trajectories, because
+        // polling consumes no RNG.
+        let target = [3usize, 1, 4, 0, 2, 5];
         let cfg = CeConfig::with_sample_size(100);
-        let mut m1 = BernoulliModel::uniform(target.len());
-        let plain = minimize(
-            &mut m1,
-            &cfg,
-            &mut StdRng::seed_from_u64(81),
-            hamming_cost(&target),
-        );
-        let mut m2 = BernoulliModel::uniform(target.len());
-        let cost = hamming_cost(&target);
-        let controlled = minimize_controlled(
-            &mut m2,
-            &cfg,
-            &mut StdRng::seed_from_u64(81),
-            |samples, _r| samples.iter().map(&cost).collect(),
-            |_, _| {},
-            &mut NullRecorder,
-            &|| false,
-        );
-        assert_eq!(plain.best_sample, controlled.best_sample);
-        assert_eq!(plain.best_cost, controlled.best_cost);
-        assert_eq!(plain.iterations, controlled.iterations);
-        assert_eq!(plain.stop_reason, controlled.stop_reason);
+        let polls = std::cell::Cell::new(0usize);
+        let run = |should_stop: &dyn Fn() -> bool| {
+            let mut model = PermutationModel::uniform(target.len());
+            minimize_flat(
+                &mut model,
+                &cfg,
+                &mut StdRng::seed_from_u64(81),
+                1,
+                &RowEval(distance(&target)),
+                |_, _| {},
+                &mut NullRecorder,
+                should_stop,
+            )
+        };
+        let plain = run(&|| false);
+        let counted = run(&|| {
+            polls.set(polls.get() + 1);
+            false
+        });
+        assert!(polls.get() >= 1);
+        assert_eq!(plain.best_sample, counted.best_sample);
+        assert_eq!(plain.best_cost, counted.best_cost);
+        assert_eq!(plain.iterations, counted.iterations);
+        assert_eq!(plain.stop_reason, counted.stop_reason);
+        assert_eq!(plain.telemetry, counted.telemetry);
     }
 
     #[test]
@@ -1107,7 +888,6 @@ mod tests {
     #[test]
     fn flat_recovers_hidden_permutation() {
         let target = vec![3usize, 1, 4, 0, 2, 5];
-        let cost = |s: &[usize]| s.iter().zip(&target).filter(|(a, b)| a != b).count() as f64;
         let mut model = PermutationModel::uniform(target.len());
         let cfg = CeConfig::with_sample_size(200);
         let mut rng = StdRng::seed_from_u64(82);
@@ -1116,7 +896,7 @@ mod tests {
             &cfg,
             &mut rng,
             1,
-            cost,
+            &RowEval(distance(&target)),
             |_, _| {},
             &mut NullRecorder,
             &|| false,
@@ -1137,7 +917,7 @@ mod tests {
                 &cfg,
                 &mut rng,
                 threads,
-                |s: &[usize]| s.iter().zip(&target).filter(|(a, b)| a != b).count() as f64,
+                &RowEval(distance(&target)),
                 |_, _| {},
                 &mut NullRecorder,
                 &|| false,
@@ -1154,12 +934,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_with_batch_evaluator_matches_per_row_closure() {
-        use crate::batch::FlatEvaluator;
-
-        // A chunk-level evaluator computing the same pure cost as the
-        // closure must reproduce the per-row pipeline's trajectory
-        // exactly, for every thread count.
+    fn batch_evaluator_matches_per_row_closure() {
+        // A chunk-level evaluator computing the same pure cost as a
+        // per-row closure must reproduce its trajectory exactly, for
+        // every thread count.
         struct SumDistance(Vec<usize>);
         impl FlatEvaluator for SumDistance {
             type Scratch = ();
@@ -1180,14 +958,14 @@ mod tests {
             &cfg,
             &mut StdRng::seed_from_u64(93),
             1,
-            |s: &[usize]| s.iter().zip(&target).filter(|(a, b)| a != b).count() as f64,
+            &RowEval(distance(&target)),
             |_, _| {},
             &mut NullRecorder,
             &|| false,
         );
         for threads in [1, 2, 8] {
             let mut model = PermutationModel::uniform(target.len());
-            let batched = minimize_flat_with(
+            let batched = minimize_flat(
                 &mut model,
                 &cfg,
                 &mut StdRng::seed_from_u64(93),
@@ -1220,7 +998,7 @@ mod tests {
             &cfg,
             &mut rng,
             2,
-            |s: &[usize]| s[0] as f64,
+            &RowEval(|s: &[usize]| s[0] as f64),
             |_, _| {},
             &mut recorder,
             &|| false,
@@ -1249,7 +1027,7 @@ mod tests {
         // A hidden-permutation cost at n = 16: as the matrix
         // concentrates, rows collide and the exact scan takes over.
         let target: Vec<usize> = (0..16).map(|i| (i * 5) % 16).collect();
-        let cost = |s: &[usize]| s.iter().zip(&target).filter(|(a, b)| a != b).count() as f64;
+        let cost = RowEval(distance(&target));
         let mut cfg = CeConfig::with_sample_size(256);
         cfg.max_iters = 12;
         let run = |recorder: &mut dyn Recorder, threads: usize| {
@@ -1259,7 +1037,7 @@ mod tests {
                 &cfg,
                 &mut StdRng::seed_from_u64(95),
                 threads,
-                cost,
+                &cost,
                 |_, _| {},
                 recorder,
                 &|| false,

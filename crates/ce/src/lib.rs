@@ -47,9 +47,8 @@ pub mod stochmatrix;
 
 pub use batch::{FlatBatch, FlatEvaluator, FlatSampler, RowEval};
 pub use driver::{
-    minimize, minimize_controlled, minimize_flat, minimize_flat_from, minimize_flat_with,
-    minimize_traced, minimize_with, select_elites, CeConfig, CeOutcome, CeTelemetry,
-    EliteSelection, IterStats, StopReason,
+    minimize, minimize_flat, select_elites, CeConfig, CeOutcome, CeTelemetry, EliteSelection,
+    IterStats, StopReason,
 };
 pub use model::CeModel;
 pub use models::assignment::AssignmentModel;

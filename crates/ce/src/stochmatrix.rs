@@ -36,7 +36,8 @@ pub struct StochasticMatrix {
 impl StochasticMatrix {
     /// The uniform matrix: every entry `1 / cols` (Figure 5 step 1).
     pub fn uniform(rows: usize, cols: usize) -> Self {
-        assert!(cols > 0, "a row needs at least one column");
+        // A matrix without rows (an empty instance) needs no columns.
+        assert!(cols > 0 || rows == 0, "a row needs at least one column");
         StochasticMatrix {
             rows,
             cols,

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Per-(row, column) assignment counts over `draws` permutations from the
-/// legacy restricted-roulette path. The `n` cells after the `n × n`
+/// reference restricted-roulette draw (`CeModel::sample`). The `n` cells after the `n × n`
 /// block count the joint statistic `(σ(1) − σ(0)) mod n`, which sees
 /// dependence between rows that the marginals alone miss.
 fn roulette_counts(model: &PermutationModel, draws: usize, seed: u64) -> Vec<u64> {

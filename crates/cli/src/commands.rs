@@ -9,7 +9,6 @@ use match_baselines::{
 use match_core::{
     analyze, bijective_lower_bound, CapacityModel, EvalBackend, IslandMatcher, Mapper,
     MapperOutcome, MappingInstance, MatchConfig, Matcher, MultilevelConfig, RemapConfig,
-    SamplerMode,
 };
 use match_ga::{FastMapGa, GaConfig};
 use match_graph::gen::large::LargeFamilyConfig;
@@ -87,8 +86,7 @@ USAGE:
                     [--out-tig FILE] [--out-platform FILE] [--out-caps FILE]
   matchctl info     --tig FILE --platform FILE
   matchctl solve    --tig FILE --platform FILE [--algo ALGO] [--seed S] [--out FILE]
-                    [--threads N] [--sampler auto|sequential|batched]
-                    [--backend auto|scalar|simd]
+                    [--threads N] [--backend auto|scalar|simd]
                     [--coarsen-target N] [--refine-passes N]
                     [--caps FILE] [--cap-gamma G]
                     [--trace FILE.jsonl]
@@ -126,15 +124,14 @@ USAGE:
 ALGO: match (default) | multilevel | islands | polish | ga | fastmap
       | bisect | greedy | hill | sa | random | roundrobin
       (--solver is accepted as an alias for --algo; so are the solver
-       names fastmap-ga for ga and hillclimb for hill; --threads,
-       --sampler and --backend apply to match and ga; --threads,
+       names fastmap-ga for ga and hillclimb for hill; --threads
+       and --backend apply to match and ga; --threads,
        --backend, --coarsen-target and --refine-passes apply to
        multilevel, which scales past n ≈ 50 by
        coarsening to paper scale, solving with batched CE and refining
        back up — use `gen --family large` for sparse large-n instances;
-       submit also accepts match-batched | match-sequential | ga-batched
-       | ga-sequential to pin the CE or GA generation pipeline
-       daemon-side)
+       submit also accepts match-batched (= match) and ga-batched
+       (ga on every daemon core))
 
 --trace streams per-iteration telemetry (JSONL, one event per line);
 feed the file to `matchctl report` for a convergence summary.
@@ -284,16 +281,6 @@ fn cmd_info(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The `--sampler auto|sequential|batched` option (CE solvers only).
-fn sampler_mode(args: &Args) -> Result<SamplerMode, CliError> {
-    Ok(match args.options.get("sampler").map(String::as_str) {
-        None | Some("auto") => SamplerMode::Auto,
-        Some("sequential") => SamplerMode::Sequential,
-        Some("batched") => SamplerMode::Batched,
-        Some(other) => return Err(CliError::BadValue("sampler".into(), other.into())),
-    })
-}
-
 /// The `--backend auto|scalar|simd` option (batched pipelines only;
 /// both kernels are bit-identical, so this is a throughput knob).
 fn backend_mode(args: &Args) -> Result<EvalBackend, CliError> {
@@ -307,7 +294,6 @@ fn backend_mode(args: &Args) -> Result<EvalBackend, CliError> {
 fn build_mapper(
     name: &str,
     threads: Option<usize>,
-    sampler: SamplerMode,
     backend: EvalBackend,
     multilevel: MultilevelConfig,
 ) -> Result<Box<dyn Mapper>, CliError> {
@@ -315,19 +301,13 @@ fn build_mapper(
         "multilevel" => Box::new(MultilevelMapper::new(multilevel)),
         "match" => Box::new(Matcher::new(MatchConfig {
             threads: threads.unwrap_or_else(match_par::default_threads),
-            sampler,
             backend,
             ..MatchConfig::default()
         })),
         "islands" => Box::new(IslandMatcher::default()),
-        // The GA honours the same --threads/--sampler pair as `match`:
-        // Auto resolves to the batched pipeline when threads > 1 and the
-        // instance reaches SamplerMode::AUTO_BATCH_MIN_TASKS, and
-        // `--sampler sequential` pins the historical per-individual loop
-        // (bit-exact with pre-batching releases).
+        // The GA honours the same --threads/--backend pair as `match`.
         "ga" | "fastmap-ga" => Box::new(FastMapGa::new(GaConfig {
             threads: threads.unwrap_or_else(match_par::default_threads),
-            sampler,
             backend,
             ..GaConfig::paper_default()
         })),
@@ -416,7 +396,6 @@ fn cmd_solve(args: &Args) -> Result<String, CliError> {
     let mapper = build_mapper(
         algo,
         threads,
-        sampler_mode(args)?,
         backend,
         multilevel_config(args, threads, backend)?,
     )?;
@@ -425,7 +404,6 @@ fn cmd_solve(args: &Args) -> Result<String, CliError> {
     let out = if let Some(model) = &caps {
         let matcher = Matcher::new(MatchConfig {
             threads: threads.unwrap_or_else(match_par::default_threads),
-            sampler: sampler_mode(args)?,
             backend,
             ..MatchConfig::default()
         });
@@ -1606,7 +1584,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_sampler_and_threads_flags() {
+    fn solve_threads_flag() {
         let dir = tmpdir();
         let tig = dir.join("t.txt");
         let plat = dir.join("p.txt");
@@ -1622,7 +1600,8 @@ mod tests {
             plat_s,
         ])
         .unwrap();
-        for sampler in ["auto", "sequential", "batched"] {
+        // One pipeline: the thread count changes the wall clock only.
+        let solve = |threads: &str| {
             let s = run_tokens(&[
                 "solve",
                 "--tig",
@@ -1632,23 +1611,14 @@ mod tests {
                 "--seed",
                 "5",
                 "--threads",
-                "2",
-                "--sampler",
-                sampler,
+                threads,
             ])
             .unwrap();
-            assert!(s.contains("MaTCH: ET ="), "sampler {sampler}");
-        }
-        let bad = run_tokens(&[
-            "solve",
-            "--tig",
-            tig_s,
-            "--platform",
-            plat_s,
-            "--sampler",
-            "psychic",
-        ]);
-        assert!(bad.is_err(), "unknown sampler must be refused");
+            assert!(s.contains("MaTCH: ET ="), "threads {threads}");
+            let first = s.lines().next().unwrap().to_string();
+            first.split_once(", MT = ").unwrap().0.to_string()
+        };
+        assert_eq!(solve("1"), solve("2"));
         let zero = run_tokens(&[
             "solve",
             "--tig",
@@ -1693,8 +1663,6 @@ mod tests {
                 "5",
                 "--threads",
                 "2",
-                "--sampler",
-                "batched",
                 "--algo",
                 algo,
                 "--backend",
@@ -1725,17 +1693,17 @@ mod tests {
     }
 
     #[test]
-    fn ga_sampler_flags_and_diff_report() {
+    fn ga_threads_flag_and_diff_report() {
         use match_telemetry::Event;
         let dir = tmpdir();
         let tig = dir.join("t.txt");
         let plat = dir.join("p.txt");
-        let seq_trace = dir.join("seq.jsonl");
-        let bat_trace = dir.join("bat.jsonl");
+        let t1_trace = dir.join("t1.jsonl");
+        let t2_trace = dir.join("t2.jsonl");
         let tig_s = tig.to_str().unwrap();
         let plat_s = plat.to_str().unwrap();
-        let seq_s = seq_trace.to_str().unwrap();
-        let bat_s = bat_trace.to_str().unwrap();
+        let t1_s = t1_trace.to_str().unwrap();
+        let t2_s = t2_trace.to_str().unwrap();
         run_tokens(&[
             "gen",
             "--size",
@@ -1746,8 +1714,8 @@ mod tests {
             plat_s,
         ])
         .unwrap();
-        // The GA accepts the same --threads/--sampler pair as `match`.
-        for (sampler, threads, trace) in [("sequential", "1", seq_s), ("batched", "2", bat_s)] {
+        // The GA accepts the same --threads flag as `match`.
+        for (threads, trace) in [("1", t1_s), ("2", t2_s)] {
             let s = run_tokens(&[
                 "solve",
                 "--tig",
@@ -1758,18 +1726,16 @@ mod tests {
                 "ga",
                 "--seed",
                 "3",
-                "--sampler",
-                sampler,
                 "--threads",
                 threads,
                 "--trace",
                 trace,
             ])
             .unwrap();
-            assert!(s.contains("FastMap-GA: ET ="), "sampler {sampler}: {s}");
+            assert!(s.contains("FastMap-GA: ET ="), "threads {threads}: {s}");
         }
-        // The batched trace carries the delta-mutation counters.
-        let events = read_trace_file(&bat_trace).unwrap();
+        // The trace carries the delta-mutation counters.
+        let events = read_trace_file(&t2_trace).unwrap();
         let has_counter = |name: &str| {
             events
                 .iter()
@@ -1778,14 +1744,14 @@ mod tests {
         assert!(has_counter("full_evaluations"));
         assert!(has_counter("delta_swaps"));
 
-        let diff = run_tokens(&["report", "--diff", seq_s, bat_s]).unwrap();
+        let diff = run_tokens(&["report", "--diff", t1_s, t2_s]).unwrap();
         assert!(diff.contains("A = "), "{diff}");
         assert!(diff.contains("final best"), "{diff}");
         assert!(diff.contains("convergence B"), "{diff}");
         assert!(diff.contains("phase budgets"), "{diff}");
         // --diff without a second trace is refused, as is a bare switch.
-        assert!(run_tokens(&["report", "--diff", seq_s]).is_err());
-        assert!(run_tokens(&["report", seq_s, "--diff"]).is_err());
+        assert!(run_tokens(&["report", "--diff", t1_s]).is_err());
+        assert!(run_tokens(&["report", t1_s, "--diff"]).is_err());
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -8,9 +8,12 @@
 //! stop when each row's maximal element has been stable for `c = 5`
 //! iterations (Eq. 12).
 //!
-//! Sample evaluation dominates the run time (`N` independent Eq.-2
-//! evaluations per iteration) and is fanned out across threads with
-//! `match-par`.
+//! Every entry point runs one pipeline, `match_ce`'s fused
+//! [`minimize_flat`] loop: `match-par` workers draw their rows of the
+//! `N`-sample batch into one flat buffer and score each chunk in one
+//! batch-evaluator call, with per-sample RNG streams derived from one
+//! driver draw per iteration, so results are identical for every thread
+//! count.
 
 use crate::batcheval::PlanEvaluator;
 use crate::control::StopToken;
@@ -18,89 +21,32 @@ use crate::cost::exec_time;
 use crate::mapper::{record_run_start, Mapper, MapperOutcome};
 use crate::mapping::Mapping;
 use crate::problem::MappingInstance;
-use match_ce::batch::FlatSampler;
-use match_ce::driver::{
-    minimize_controlled, minimize_flat, minimize_flat_with, minimize_traced, CeConfig, CeTelemetry,
-    StopReason,
-};
+use match_ce::batch::{FlatEvaluator, FlatSampler, RowEval};
+use match_ce::driver::{minimize_flat, CeConfig, CeOutcome, CeTelemetry, StopReason};
 use match_ce::models::assignment::AssignmentModel;
 use match_ce::models::permutation::PermutationModel;
 use match_ce::stochmatrix::StochasticMatrix;
 use match_eval::EvalBackend;
-use match_telemetry::{Event, NullRecorder, PoolEvent, Recorder};
+use match_telemetry::{Event, NullRecorder, Recorder};
 use rand::rngs::StdRng;
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// How the CE driver draws each iteration's `N`-sample batch.
 ///
-/// The two concrete modes draw the **same distribution** but consume
-/// different RNG streams, so they produce different (equally valid)
-/// trajectories from the same seed:
-///
-/// * [`SamplerMode::Sequential`] draws all samples on the driver thread
-///   from the run RNG — the historical behaviour, bit-compatible with
-///   every release since the seed. Only evaluation fans out.
-/// * [`SamplerMode::Batched`] fuses sampling and evaluation inside the
-///   `match-par` workers: the run RNG is consumed once per iteration
-///   (a single `u64` iteration seed) and sample `i` draws from its own
-///   SplitMix64-derived `StdRng`, so results are *identical for every
-///   thread count* — just not identical to `Sequential`.
+/// There is one pipeline, so this selects nothing: `Batched` fuses
+/// sampling and evaluation inside the `match-par` workers, consuming the
+/// run RNG once per iteration (a single `u64` iteration seed) and drawing
+/// sample `i` from its own SplitMix64-derived stream, so results are
+/// *identical for every thread count*. The enum is kept only because the
+/// end-to-end benchmark (`perfbench/src/offline.rs`) names
+/// `SamplerMode::Batched`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplerMode {
-    /// Pick per run: `Batched` when `threads > 1` **and** the instance
-    /// has at least [`SamplerMode::AUTO_BATCH_MIN_TASKS`] tasks,
-    /// `Sequential` otherwise. Parallel runs on instances big enough to
-    /// amortise per-sample RNG setup get the fused pipeline; everything
-    /// else keeps the legacy stream.
-    #[default]
-    Auto,
-    /// Legacy driver-thread sampling; RNG-stream compatible with
-    /// previous releases for any thread count.
-    Sequential,
     /// Fused parallel sample+evaluate with per-sample derived RNGs and a
     /// flat reusable sample buffer; deterministic per seed and invariant
     /// across thread counts.
+    #[default]
     Batched,
-}
-
-impl SamplerMode {
-    /// Smallest instance (in tasks) for which `Auto` picks the batched
-    /// pipeline on a multi-threaded run. Matches the CI bench gate
-    /// (`match-bench --check`), which only asserts the batched pipeline
-    /// beats sequential sampling for `n ≥ 32`; below that the per-sample
-    /// RNG setup can dominate and the legacy stream is kept.
-    pub const AUTO_BATCH_MIN_TASKS: usize = 32;
-
-    /// Resolve `Auto` for a concrete thread count **and instance size**;
-    /// never returns `Auto`. This is the single decision point shared by
-    /// the CE matcher and FastMap-GA, so the two cannot silently diverge.
-    ///
-    /// An empty instance (`n_tasks == 0`) always resolves to
-    /// `Sequential`: the batched pipeline needs at least one gene/row
-    /// per sample, and the degenerate case is handled by the scalar
-    /// drivers.
-    pub fn resolved_for(self, threads: usize, n_tasks: usize) -> SamplerMode {
-        if n_tasks == 0 {
-            return SamplerMode::Sequential;
-        }
-        match self {
-            SamplerMode::Auto => {
-                if threads > 1 && n_tasks >= Self::AUTO_BATCH_MIN_TASKS {
-                    SamplerMode::Batched
-                } else {
-                    SamplerMode::Sequential
-                }
-            }
-            mode => mode,
-        }
-    }
-
-    /// Resolve `Auto` by thread count alone, assuming a large instance.
-    /// Prefer [`SamplerMode::resolved_for`] when the instance is known.
-    pub fn resolved(self, threads: usize) -> SamplerMode {
-        self.resolved_for(threads, usize::MAX)
-    }
 }
 
 /// MaTCH tunables. Defaults are the paper's §4–§5 choices.
@@ -128,23 +74,18 @@ pub struct MatchConfig {
     pub gamma_tol: f64,
     /// Degenerate-matrix early stop tolerance.
     pub degeneracy_tol: f64,
-    /// Worker threads for sample evaluation (`1` = sequential).
+    /// Worker threads for the fused sample+evaluate batches. The outcome
+    /// is the same for every value.
     pub threads: usize,
-    /// How the sample batch is drawn — see [`SamplerMode`]. The default
-    /// (`Auto`) keeps the historical RNG stream for single-threaded runs
-    /// and for instances below [`SamplerMode::AUTO_BATCH_MIN_TASKS`]
-    /// tasks, and switches larger multi-threaded runs to the fused
-    /// batched pipeline, whose stream differs but is invariant across
-    /// thread counts. Pin [`SamplerMode::Sequential`] to reproduce
-    /// pre-batching results on any thread count.
+    /// Selects nothing: every run takes the one batched pipeline (see
+    /// [`SamplerMode`]). The field is kept only because the end-to-end
+    /// benchmark (`perfbench/src/offline.rs`) sets it.
     pub sampler: SamplerMode,
     /// Evaluation backend for the batched pipeline — see
     /// [`EvalBackend`]. Both backends are bit-identical (the lane
     /// kernel never reassociates a sample's terms), so this changes
     /// throughput only; `Auto` picks the lane kernel whenever a chunk
-    /// is at least [`match_eval::LANES`] rows wide. Ignored by
-    /// [`SamplerMode::Sequential`] runs, which score samples one at a
-    /// time on the historical scalar path.
+    /// is at least [`match_eval::LANES`] rows wide.
     pub backend: EvalBackend,
     /// Record a stochastic-matrix snapshot every `k` iterations
     /// (Figure 3); `None` disables snapshots.
@@ -266,6 +207,9 @@ impl MatchOutcome {
 /// assert!(outcome.mapping.is_permutation());
 /// assert_eq!(outcome.cost, match_core::exec_time(&inst, outcome.mapping.as_slice()));
 /// ```
+///
+/// Every entry point maps an instance with no tasks to the empty
+/// mapping at cost 0, without running an iteration.
 #[derive(Debug, Clone, Default)]
 pub struct Matcher {
     config: MatchConfig,
@@ -287,7 +231,7 @@ impl Matcher {
     /// Panics when `|V_t| ≠ |V_r|` — use
     /// [`Matcher::run_many_to_one`] for rectangular instances.
     pub fn run(&self, inst: &MappingInstance, rng: &mut StdRng) -> MatchOutcome {
-        self.run_traced(inst, rng, &mut NullRecorder)
+        self.run_controlled(inst, rng, &mut NullRecorder, &StopToken::never())
     }
 
     /// [`Matcher::run`] with live telemetry: `run_start`/`run_end`
@@ -299,24 +243,7 @@ impl Matcher {
         rng: &mut StdRng,
         recorder: &mut dyn Recorder,
     ) -> MatchOutcome {
-        self.config.validate();
-        assert!(
-            inst.is_square(),
-            "MaTCH's GenPerm model needs |V_t| = |V_r| (got {} tasks, {} resources); \
-             use run_many_to_one instead",
-            inst.n_tasks(),
-            inst.n_resources()
-        );
-        let n = inst.n_tasks();
-        let mut model = PermutationModel::uniform(n);
-        self.drive(
-            inst,
-            rng,
-            &mut model,
-            |m| m.matrix().clone(),
-            recorder,
-            &StopToken::never(),
-        )
+        self.run_controlled(inst, rng, recorder, &StopToken::never())
     }
 
     /// [`Matcher::run_traced`] with cooperative cancellation: `stop` is
@@ -329,24 +256,8 @@ impl Matcher {
         recorder: &mut dyn Recorder,
         stop: &StopToken,
     ) -> MatchOutcome {
-        self.config.validate();
-        assert!(
-            inst.is_square(),
-            "MaTCH's GenPerm model needs |V_t| = |V_r| (got {} tasks, {} resources); \
-             use run_many_to_one instead",
-            inst.n_tasks(),
-            inst.n_resources()
-        );
-        let n = inst.n_tasks();
-        let mut model = PermutationModel::uniform(n);
-        self.drive(
-            inst,
-            rng,
-            &mut model,
-            |m| m.matrix().clone(),
-            recorder,
-            stop,
-        )
+        self.run_warm_controlled(inst, rng, recorder, stop, None, 0.0)
+            .0
     }
 
     /// [`Matcher::run_controlled`] warm-started from a persisted prior:
@@ -358,7 +269,8 @@ impl Matcher {
     /// Cold-path contract: `α ≤ 0`, `prior = None`, or a prior whose
     /// shape does not match the instance all seed the exact uniform
     /// matrix ([`StochasticMatrix::warm_seed`] returns it bit-for-bit),
-    /// so the trajectory is identical to [`Matcher::run_controlled`].
+    /// so the trajectory is that of [`Matcher::run_controlled`], which
+    /// is this call without a prior.
     pub fn run_warm_controlled(
         &self,
         inst: &MappingInstance,
@@ -389,11 +301,11 @@ impl Matcher {
             rng,
             &mut model,
             |m| m.matrix().clone(),
+            &PlanEvaluator::new(inst, self.config.backend),
             recorder,
             stop,
         );
-        let converged = model.matrix().clone();
-        (outcome, converged)
+        (outcome, model.matrix().clone())
     }
 
     /// The many-to-one generalisation: rows are sampled independently
@@ -407,6 +319,7 @@ impl Matcher {
             rng,
             &mut model,
             |m| m.matrix().clone(),
+            &PlanEvaluator::new(inst, self.config.backend),
             &mut NullRecorder,
             &StopToken::never(),
         )
@@ -423,65 +336,22 @@ impl Matcher {
         );
         let n = inst.n_tasks();
         let mut model = AssignmentModel::uniform(n, n);
-        let start = Instant::now();
-        let cfg = self.config.ce_config(n);
-        let threads = self.config.threads;
-        let snapshots = std::cell::RefCell::new(Vec::new());
-        let every = self.config.snapshot_every;
-        let observe = |iter: usize, m: &AssignmentModel| {
-            if let Some(k) = every {
-                if iter.is_multiple_of(k.max(1)) {
-                    snapshots.borrow_mut().push(MatrixSnapshot {
-                        iter,
-                        matrix: m.matrix().clone(),
-                    });
-                }
+        let penalized = RowEval(|row: &[usize]| {
+            if match_rngutil::perm::is_permutation(row) {
+                exec_time(inst, row)
+            } else {
+                f64::INFINITY
             }
-        };
-        let outcome = match self.config.sampler.resolved_for(threads, inst.n_tasks()) {
-            SamplerMode::Batched => minimize_flat(
-                &mut model,
-                &cfg,
-                rng,
-                threads,
-                |row: &[usize]| {
-                    if match_rngutil::perm::is_permutation(row) {
-                        exec_time(inst, row)
-                    } else {
-                        f64::INFINITY
-                    }
-                },
-                observe,
-                &mut NullRecorder,
-                &|| false,
-            ),
-            _ => minimize_traced(
-                &mut model,
-                &cfg,
-                rng,
-                |samples: &[Vec<usize>], _recorder: &mut dyn Recorder| {
-                    match_par::parallel_map(samples.len(), threads, |i| {
-                        if match_rngutil::perm::is_permutation(&samples[i]) {
-                            exec_time(inst, &samples[i])
-                        } else {
-                            f64::INFINITY
-                        }
-                    })
-                },
-                observe,
-                &mut NullRecorder,
-            ),
-        };
-        MatchOutcome {
-            mapping: Mapping::new(outcome.best_sample),
-            cost: outcome.best_cost,
-            iterations: outcome.iterations,
-            evaluations: outcome.evaluations,
-            elapsed: start.elapsed(),
-            stop_reason: outcome.stop_reason,
-            telemetry: outcome.telemetry,
-            snapshots: snapshots.into_inner(),
-        }
+        });
+        self.drive(
+            inst,
+            rng,
+            &mut model,
+            |m| m.matrix().clone(),
+            &penalized,
+            &mut NullRecorder,
+            &StopToken::never(),
+        )
     }
 
     /// The Wilhelm-style capacitated objective on a square instance:
@@ -520,136 +390,71 @@ impl Matcher {
             inst.n_tasks(),
             inst.n_resources()
         );
-        let n = inst.n_tasks();
-        let mut model = PermutationModel::uniform(n);
-        let start = Instant::now();
-        record_run_start(recorder, "MaTCH", inst);
-        let cfg = self.config.ce_config(n);
-        let threads = self.config.threads;
-        let observe = |_: usize, _: &PermutationModel| {};
-        let outcome = match self.config.sampler.resolved_for(threads, n) {
-            SamplerMode::Batched => minimize_flat(
-                &mut model,
-                &cfg,
-                rng,
-                threads,
-                |row: &[usize]| exec_time(inst, row) + caps.penalty(row),
-                observe,
-                recorder,
-                &|| stop.should_stop(),
-            ),
-            _ => minimize_controlled(
-                &mut model,
-                &cfg,
-                rng,
-                |samples: &[Vec<usize>], _recorder: &mut dyn Recorder| {
-                    match_par::parallel_map(samples.len(), threads, |i| {
-                        exec_time(inst, &samples[i]) + caps.penalty(&samples[i])
-                    })
-                },
-                observe,
-                recorder,
-                &|| stop.should_stop(),
-            ),
-        };
-        let result = MatchOutcome {
-            mapping: Mapping::new(outcome.best_sample),
-            cost: outcome.best_cost,
-            iterations: outcome.iterations,
-            evaluations: outcome.evaluations,
-            elapsed: start.elapsed(),
-            stop_reason: outcome.stop_reason,
-            telemetry: outcome.telemetry,
-            snapshots: Vec::new(),
-        };
-        if recorder.enabled() {
-            recorder.record(Event::RunEnd {
-                best: result.cost,
-                iterations: result.iterations as u64,
-                evaluations: result.evaluations,
-                wall_ns: result.elapsed.as_nanos() as u64,
-            });
-        }
-        result
+        let mut model = PermutationModel::uniform(inst.n_tasks());
+        self.drive(
+            inst,
+            rng,
+            &mut model,
+            |m| m.matrix().clone(),
+            &RowEval(|row: &[usize]| exec_time(inst, row) + caps.penalty(row)),
+            recorder,
+            stop,
+        )
     }
 
-    fn drive<M>(
+    /// The one CE loop behind every entry point: `run_start`, the fused
+    /// [`minimize_flat`] pipeline over `model` scored by `evaluator`,
+    /// Figure 3 snapshots, the outcome and `run_end`.
+    #[allow(clippy::too_many_arguments)]
+    fn drive<M, E>(
         &self,
         inst: &MappingInstance,
         rng: &mut StdRng,
         model: &mut M,
         snapshot: impl Fn(&M) -> StochasticMatrix,
+        evaluator: &E,
         recorder: &mut dyn Recorder,
         stop: &StopToken,
     ) -> MatchOutcome
     where
         M: FlatSampler,
+        E: FlatEvaluator,
     {
         let start = Instant::now();
         record_run_start(recorder, "MaTCH", inst);
-        let cfg = self
-            .config
-            .ce_config(inst.n_resources().max(inst.n_tasks()));
-        let threads = self.config.threads;
-        let snapshots = std::cell::RefCell::new(Vec::new());
-        let every = self.config.snapshot_every;
-        let observe = |iter: usize, m: &M| {
-            if let Some(k) = every {
-                if iter.is_multiple_of(k.max(1)) {
-                    snapshots.borrow_mut().push(MatrixSnapshot {
-                        iter,
-                        matrix: snapshot(m),
-                    });
-                }
+        let mut snapshots = Vec::new();
+        let outcome = if inst.n_tasks() == 0 {
+            // Nothing to map: the empty mapping is the only one, and a
+            // model over zero rows is degenerate from the start.
+            CeOutcome {
+                best_sample: Vec::new(),
+                best_cost: 0.0,
+                iterations: 0,
+                evaluations: 0,
+                stop_reason: StopReason::Degenerate,
+                telemetry: CeTelemetry::default(),
             }
-        };
-        let outcome = match self.config.sampler.resolved_for(threads, inst.n_tasks()) {
-            SamplerMode::Batched => minimize_flat_with(
+        } else {
+            let every = self.config.snapshot_every.map(|k| k.max(1));
+            minimize_flat(
                 model,
-                &cfg,
+                &self
+                    .config
+                    .ce_config(inst.n_resources().max(inst.n_tasks())),
                 rng,
-                threads,
-                &PlanEvaluator::new(inst, self.config.backend),
-                observe,
+                self.config.threads,
+                evaluator,
+                |iter, m| {
+                    if every.is_some_and(|k| iter.is_multiple_of(k)) {
+                        snapshots.push(MatrixSnapshot {
+                            iter,
+                            matrix: snapshot(m),
+                        });
+                    }
+                },
                 recorder,
                 &|| stop.should_stop(),
-            ),
-            _ => {
-                // The evaluate closure runs once per CE iteration, in
-                // order; the counter turns that into the iteration index
-                // for pool events.
-                let eval_round = Cell::new(0u64);
-                minimize_controlled(
-                    model,
-                    &cfg,
-                    rng,
-                    |samples: &[Vec<usize>], recorder: &mut dyn Recorder| {
-                        let iter = eval_round.replace(eval_round.get() + 1);
-                        if recorder.enabled() {
-                            let (costs, timings) =
-                                match_par::parallel_map_timed(samples.len(), threads, |i| {
-                                    exec_time(inst, &samples[i])
-                                });
-                            for t in timings {
-                                recorder.record(Event::Pool(PoolEvent {
-                                    iter,
-                                    chunk: t.chunk,
-                                    len: t.len,
-                                    wall_ns: t.wall_ns,
-                                }));
-                            }
-                            costs
-                        } else {
-                            match_par::parallel_map(samples.len(), threads, |i| {
-                                exec_time(inst, &samples[i])
-                            })
-                        }
-                    },
-                    observe,
-                    recorder,
-                    &|| stop.should_stop(),
-                )
-            }
+            )
         };
         let result = MatchOutcome {
             mapping: Mapping::new(outcome.best_sample),
@@ -659,7 +464,7 @@ impl Matcher {
             elapsed: start.elapsed(),
             stop_reason: outcome.stop_reason,
             telemetry: outcome.telemetry,
-            snapshots: snapshots.into_inner(),
+            snapshots,
         };
         if recorder.enabled() {
             recorder.record(Event::RunEnd {
@@ -816,30 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_same_results_as_sequential() {
-        // In Sequential mode the thread count must not change the
-        // optimisation trajectory: sampling happens on the driver
-        // thread; only evaluation fans out.
-        let inst = instance(9, 7);
-        let seq = Matcher::new(MatchConfig {
-            threads: 1,
-            sampler: SamplerMode::Sequential,
-            ..MatchConfig::default()
-        })
-        .run(&inst, &mut StdRng::seed_from_u64(8));
-        let par = Matcher::new(MatchConfig {
-            threads: 4,
-            sampler: SamplerMode::Sequential,
-            ..MatchConfig::default()
-        })
-        .run(&inst, &mut StdRng::seed_from_u64(8));
-        assert_eq!(seq.mapping, par.mapping);
-        assert_eq!(seq.cost, par.cost);
-        assert_eq!(seq.iterations, par.iterations);
-    }
-
-    #[test]
-    fn batched_mode_is_thread_count_invariant() {
+    fn outcome_is_thread_count_invariant() {
         // The fused pipeline derives one RNG per sample from a single
         // iteration seed, so the whole MatchOutcome is bit-identical for
         // any thread count — including 1.
@@ -847,7 +629,6 @@ mod tests {
         let run = |threads: usize| {
             Matcher::new(MatchConfig {
                 threads,
-                sampler: SamplerMode::Batched,
                 ..MatchConfig::default()
             })
             .run(&inst, &mut StdRng::seed_from_u64(8))
@@ -868,7 +649,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_backends_produce_identical_batched_runs() {
+    fn eval_backends_produce_identical_runs() {
         // The lane kernel never reassociates a sample's terms, so
         // forcing Scalar, Simd, or Auto must give the same trajectory
         // bit for bit — on any thread count.
@@ -876,7 +657,6 @@ mod tests {
         let run = |backend: EvalBackend, threads: usize| {
             Matcher::new(MatchConfig {
                 threads,
-                sampler: SamplerMode::Batched,
                 backend,
                 ..MatchConfig::default()
             })
@@ -902,66 +682,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn auto_sampler_resolution() {
-        assert_eq!(SamplerMode::Auto.resolved(1), SamplerMode::Sequential);
-        assert_eq!(SamplerMode::Auto.resolved(8), SamplerMode::Batched);
-        assert_eq!(SamplerMode::Sequential.resolved(8), SamplerMode::Sequential);
-        assert_eq!(SamplerMode::Batched.resolved(1), SamplerMode::Batched);
-    }
-
-    #[test]
-    fn auto_batch_cutover_is_pinned() {
-        // The Auto→Batched cutover is a shared contract between the CE
-        // matcher and FastMap-GA: multi-threaded runs switch to the
-        // batched pipeline exactly at AUTO_BATCH_MIN_TASKS tasks.
-        let cut = SamplerMode::AUTO_BATCH_MIN_TASKS;
-        assert_eq!(cut, 32, "cutover must match the CI bench gate (n >= 32)");
-        assert_eq!(
-            SamplerMode::Auto.resolved_for(8, cut - 1),
-            SamplerMode::Sequential
-        );
-        assert_eq!(SamplerMode::Auto.resolved_for(8, cut), SamplerMode::Batched);
-        assert_eq!(SamplerMode::Auto.resolved_for(2, cut), SamplerMode::Batched);
-        // Single-threaded runs never switch, however large the instance.
-        assert_eq!(
-            SamplerMode::Auto.resolved_for(1, 10 * cut),
-            SamplerMode::Sequential
-        );
-        // Pinned modes resolve to themselves on any non-empty instance.
-        assert_eq!(
-            SamplerMode::Sequential.resolved_for(8, 10 * cut),
-            SamplerMode::Sequential
-        );
-        assert_eq!(
-            SamplerMode::Batched.resolved_for(1, 1),
-            SamplerMode::Batched
-        );
-        // The empty instance always takes the scalar (sequential) path.
-        assert_eq!(
-            SamplerMode::Batched.resolved_for(8, 0),
-            SamplerMode::Sequential
-        );
-        assert_eq!(
-            SamplerMode::Auto.resolved_for(8, 0),
-            SamplerMode::Sequential
-        );
-    }
-
-    #[test]
-    fn batched_naive_penalized_still_finds_permutations() {
-        let inst = instance(6, 15);
-        let cfg = MatchConfig {
-            sample_size: Some(400),
-            threads: 2,
-            sampler: SamplerMode::Batched,
-            ..MatchConfig::default()
-        };
-        let out = Matcher::new(cfg).run_naive_penalized(&inst, &mut StdRng::seed_from_u64(16));
-        assert!(out.cost.is_finite(), "never found a bijection");
-        assert!(out.mapping.is_permutation());
     }
 
     #[test]
@@ -1186,6 +906,44 @@ mod tests {
         assert_eq!(plain.mapping, controlled.mapping);
         assert_eq!(plain.cost, controlled.cost);
         assert_eq!(plain.iterations, controlled.iterations);
+    }
+
+    fn empty_instance() -> MappingInstance {
+        use match_graph::{Graph, ResourceGraph, TaskGraph};
+        let tig = TaskGraph::new(Graph::new()).unwrap();
+        let res = ResourceGraph::new(Graph::new()).unwrap();
+        MappingInstance::new(&tig, &res)
+    }
+
+    fn assert_empty_outcome(out: &MatchOutcome) {
+        assert!(out.mapping.is_empty());
+        assert_eq!(out.cost, 0.0);
+        assert_eq!((out.iterations, out.evaluations), (0, 0));
+    }
+
+    #[test]
+    fn run_maps_an_empty_instance_to_the_empty_mapping() {
+        let out =
+            Matcher::new(small_config()).run(&empty_instance(), &mut StdRng::seed_from_u64(1));
+        assert_empty_outcome(&out);
+    }
+
+    #[test]
+    fn run_controlled_maps_an_empty_instance_to_the_empty_mapping() {
+        let out = Matcher::new(small_config()).run_controlled(
+            &empty_instance(),
+            &mut StdRng::seed_from_u64(1),
+            &mut NullRecorder,
+            &StopToken::never(),
+        );
+        assert_empty_outcome(&out);
+    }
+
+    #[test]
+    fn run_many_to_one_maps_an_empty_instance_to_the_empty_mapping() {
+        let out = Matcher::new(small_config())
+            .run_many_to_one(&empty_instance(), &mut StdRng::seed_from_u64(1));
+        assert_empty_outcome(&out);
     }
 
     #[test]

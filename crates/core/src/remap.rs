@@ -284,7 +284,6 @@ fn delta_matrix(prior: &[usize], n: usize) -> StochasticMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::SamplerMode;
     use match_graph::gen::InstanceGenerator;
     use match_telemetry::{Event, MemoryRecorder};
     use rand::SeedableRng;
@@ -424,7 +423,6 @@ mod tests {
             match_config: MatchConfig {
                 threads: 1,
                 max_iters: 10,
-                sampler: SamplerMode::Batched,
                 ..MatchConfig::default()
             },
             ..RemapConfig::default()

@@ -1,5 +1,5 @@
-//! Backend selection for the batch evaluator, mirroring the
-//! `SamplerMode` auto-resolution idiom used by the solvers.
+//! Backend selection for the batch evaluator: `Auto` resolves per batch
+//! on its width.
 
 use crate::kernel::LANES;
 
@@ -29,7 +29,7 @@ impl EvalBackend {
     pub const AUTO_MIN_ROWS: usize = LANES;
 
     /// Collapse `Auto` for a batch of `rows` samples.
-    pub fn resolved_for(self, rows: usize) -> EvalBackend {
+    pub fn for_rows(self, rows: usize) -> EvalBackend {
         match self {
             EvalBackend::Auto => {
                 if rows >= Self::AUTO_MIN_ROWS {
@@ -75,25 +75,19 @@ mod tests {
     #[test]
     fn auto_resolves_on_batch_width() {
         assert_eq!(
-            EvalBackend::Auto.resolved_for(LANES),
+            EvalBackend::Auto.for_rows(LANES),
             EvalBackend::Simd,
             "a full lane group is wide enough"
         );
-        assert_eq!(
-            EvalBackend::Auto.resolved_for(LANES - 1),
-            EvalBackend::Scalar
-        );
-        assert_eq!(EvalBackend::Auto.resolved_for(0), EvalBackend::Scalar);
-        assert_eq!(EvalBackend::Auto.resolved_for(10_000), EvalBackend::Simd);
+        assert_eq!(EvalBackend::Auto.for_rows(LANES - 1), EvalBackend::Scalar);
+        assert_eq!(EvalBackend::Auto.for_rows(0), EvalBackend::Scalar);
+        assert_eq!(EvalBackend::Auto.for_rows(10_000), EvalBackend::Simd);
     }
 
     #[test]
     fn pinned_backends_ignore_batch_width() {
-        assert_eq!(
-            EvalBackend::Scalar.resolved_for(10_000),
-            EvalBackend::Scalar
-        );
-        assert_eq!(EvalBackend::Simd.resolved_for(1), EvalBackend::Simd);
+        assert_eq!(EvalBackend::Scalar.for_rows(10_000), EvalBackend::Scalar);
+        assert_eq!(EvalBackend::Simd.for_rows(1), EvalBackend::Simd);
     }
 
     #[test]

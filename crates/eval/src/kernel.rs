@@ -103,7 +103,7 @@ impl InstancePlan {
         }
         scratch.ensure(n, n_r);
         let mut done = 0;
-        if backend.resolved_for(n_rows) == EvalBackend::Simd && n > 0 && n_r > 0 {
+        if backend.for_rows(n_rows) == EvalBackend::Simd && n > 0 && n_r > 0 {
             // One up-front range check over the whole batch licenses the
             // lane kernel's unchecked gathers (see the SAFETY notes
             // there); the scalar kernel would catch the same bad input

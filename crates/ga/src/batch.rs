@@ -1,9 +1,5 @@
-//! The batched FastMap-GA generation pipeline.
-//!
-//! The sequential engine ([`crate::engine`]) materialises every child as
-//! a fresh heap [`Chromosome`], spins an O(population) roulette wheel
-//! per parent draw, and pays a full Eq. 1/Eq. 2 evaluation per child.
-//! This module is the `FlatSampler`-style rebuild of that loop:
+//! The FastMap-GA generation loop, built like the CE driver's fused
+//! `FlatSampler` pipeline:
 //!
 //! * **Flat ping-pong buffers** — parent and offspring generations live
 //!   in two reused `population × n` gene buffers; a generation
@@ -23,14 +19,13 @@
 //!   loads via [`apply_swap_delta`] in O(degree) instead of calling
 //!   `exec_time` from scratch. The full evaluation stays in as a
 //!   `debug_assert` oracle, and the `full_evaluations` /
-//!   `delta_swaps` trace counters make the claim auditable.
-//!
-//! The stream differs from the sequential engine's: pin
-//! `SamplerMode::Sequential` to reproduce historical trajectories.
+//!   `delta_swaps` trace counters make the claim auditable. The
+//!   carried elite is never re-scored, so a run reports
+//!   `pop + generations·(pop − elites)` evaluations.
 
 use crate::chromosome::Chromosome;
-use crate::engine::{argmin, CrossoverOp, GaConfig, GaOutcome, MutationOp, SelectionOp};
-use crate::operators::crossover_into;
+use crate::engine::{argmin, CrossoverOp, GaConfig, GaOutcome, SelectionOp};
+use crate::operators::{crossover_into, mutate_in_place};
 use crate::variants::{order_crossover_into, tournament_select};
 use match_core::{
     apply_swap_delta, build_plan, exec_per_resource_into, exec_time, record_run_end,
@@ -98,11 +93,8 @@ struct ChunkScratch {
     srngs: Vec<SplitMix64>,
 }
 
-/// The batched generation loop; entered through
-/// [`crate::FastMapGa::run_controlled`] when the configured
-/// `SamplerMode` resolves to `Batched`. Same operators, selection
-/// pressure and elitism as the sequential engine — different (but
-/// thread-count-invariant) RNG stream.
+/// The generation loop behind [`crate::FastMapGa::run_controlled`]:
+/// deterministic per seed and bit-identical for every thread count.
 pub(crate) fn run_batched(
     config: &GaConfig,
     inst: &MappingInstance,
@@ -303,47 +295,14 @@ pub(crate) fn run_batched(
                     st.loads
                         .extend_from_slice(&cs.loads[c * n_r..(c + 1) * n_r]);
                     let mut srng = cs.srngs[c].clone();
-                    let mut swaps = 0u64;
-                    match config.mutation_op {
-                        MutationOp::Swap => {
-                            if n >= 2 {
-                                for g in 0..n {
-                                    if srng.random::<f64>() < config.mutation_prob {
-                                        let j = srng.random_range(0..n);
-                                        if g != j {
-                                            let (ta, tb) = (row[g], row[j]);
-                                            row.swap(g, j);
-                                            apply_swap_delta(
-                                                inst,
-                                                &mut st.assign,
-                                                &mut st.loads,
-                                                ta,
-                                                tb,
-                                            );
-                                            swaps += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        MutationOp::Inversion => {
-                            if n >= 2 && srng.random::<f64>() < config.mutation_prob {
-                                let a = srng.random_range(0..n);
-                                let b = srng.random_range(0..n);
-                                let (mut lo, mut hi) = if a <= b { (a, b) } else { (b, a) };
-                                // A reversal is a sequence of outside-in
-                                // pairwise swaps, each a delta update.
-                                while lo < hi {
-                                    let (ta, tb) = (row[lo], row[hi]);
-                                    row.swap(lo, hi);
-                                    apply_swap_delta(inst, &mut st.assign, &mut st.loads, ta, tb);
-                                    swaps += 1;
-                                    lo += 1;
-                                    hi -= 1;
-                                }
-                            }
-                        }
-                    }
+                    let (assign, loads) = (&mut st.assign, &mut st.loads);
+                    let swaps = mutate_in_place(
+                        config.mutation_op,
+                        config.mutation_prob,
+                        row,
+                        &mut srng,
+                        |ta, tb| apply_swap_delta(inst, assign, loads, ta, tb),
+                    );
                     if swaps > 0 {
                         st.cost = st.loads.iter().copied().fold(0.0, f64::max);
                         delta_swaps.fetch_add(swaps, Ordering::Relaxed);
@@ -468,9 +427,9 @@ pub(crate) fn run_batched(
 #[cfg(test)]
 mod tests {
     use crate::engine::{FastMapGa, GaConfig};
-    use match_core::{exec_time, MappingInstance, SamplerMode, StopToken};
+    use match_core::{MappingInstance, StopToken};
     use match_graph::gen::InstanceGenerator;
-    use match_telemetry::{MemoryRecorder, NullRecorder};
+    use match_telemetry::MemoryRecorder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -479,37 +438,22 @@ mod tests {
         MappingInstance::from_pair(&InstanceGenerator::paper_family(n).generate(&mut rng))
     }
 
-    fn batched_config(threads: usize) -> GaConfig {
+    fn config(threads: usize) -> GaConfig {
         GaConfig {
             population: 60,
             generations: 60,
             threads,
-            sampler: SamplerMode::Batched,
             ..GaConfig::paper_default()
         }
     }
 
     #[test]
-    fn batched_produces_valid_mapping() {
-        let inst = instance(10, 1);
-        let out = FastMapGa::new(batched_config(2)).run(&inst, &mut StdRng::seed_from_u64(2));
-        assert!(out.outcome.mapping.validate(&inst).is_ok());
-        assert_eq!(
-            out.outcome.cost,
-            exec_time(&inst, out.outcome.mapping.as_slice())
-        );
-        assert_eq!(out.best_per_generation.len(), 60);
-        // pop initial evaluations + (pop - 1 elite) per generation.
-        assert_eq!(out.outcome.evaluations, 60 + 60 * 59);
-    }
-
-    #[test]
-    fn batched_bit_identical_across_thread_counts() {
+    fn bit_identical_across_thread_counts() {
         let inst = instance(12, 3);
         let runs: Vec<_> = [1usize, 2, 8]
             .into_iter()
             .map(|threads| {
-                FastMapGa::new(batched_config(threads)).run(&inst, &mut StdRng::seed_from_u64(4))
+                FastMapGa::new(config(threads)).run(&inst, &mut StdRng::seed_from_u64(4))
             })
             .collect();
         for other in &runs[1..] {
@@ -521,13 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn eval_backends_produce_identical_batched_runs() {
+    fn eval_backends_produce_identical_runs() {
         use match_core::EvalBackend;
         let inst = instance(12, 3);
         let run = |backend: EvalBackend, threads: usize| {
             FastMapGa::new(GaConfig {
                 backend,
-                ..batched_config(threads)
+                ..config(threads)
             })
             .run(&inst, &mut StdRng::seed_from_u64(4))
         };
@@ -553,47 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_sampler_resolves_via_shared_cutover() {
-        // Auto resolution is `SamplerMode::resolved_for`, shared with
-        // the CE matcher: batched only when threads > 1 AND the instance
-        // reaches the pinned cutover size.
-        let small = instance(8, 5);
-        let cfg = |threads, sampler| GaConfig {
-            population: 40,
-            generations: 30,
-            threads,
-            sampler,
-            ..GaConfig::paper_default()
-        };
-        // threads = 1: Auto must reproduce the sequential trajectory.
-        let auto1 =
-            FastMapGa::new(cfg(1, SamplerMode::Auto)).run(&small, &mut StdRng::seed_from_u64(6));
-        let seq1 = FastMapGa::new(cfg(1, SamplerMode::Sequential))
-            .run(&small, &mut StdRng::seed_from_u64(6));
-        assert_eq!(auto1.outcome.mapping, seq1.outcome.mapping);
-        assert_eq!(auto1.best_per_generation, seq1.best_per_generation);
-        // threads > 1 but below the size cutover: still sequential —
-        // the batched pipeline's per-sample RNG setup doesn't pay off.
-        let auto4 =
-            FastMapGa::new(cfg(4, SamplerMode::Auto)).run(&small, &mut StdRng::seed_from_u64(6));
-        let seq4 = FastMapGa::new(cfg(4, SamplerMode::Sequential))
-            .run(&small, &mut StdRng::seed_from_u64(6));
-        assert_eq!(auto4.outcome.mapping, seq4.outcome.mapping);
-        assert_eq!(auto4.best_per_generation, seq4.best_per_generation);
-        // threads > 1 at the cutover size: Auto takes the batched path.
-        let big = instance(SamplerMode::AUTO_BATCH_MIN_TASKS, 5);
-        let auto_big =
-            FastMapGa::new(cfg(4, SamplerMode::Auto)).run(&big, &mut StdRng::seed_from_u64(6));
-        let batched_big =
-            FastMapGa::new(cfg(4, SamplerMode::Batched)).run(&big, &mut StdRng::seed_from_u64(6));
-        assert_eq!(auto_big.outcome.mapping, batched_big.outcome.mapping);
-        assert_eq!(
-            auto_big.best_per_generation,
-            batched_big.best_per_generation
-        );
-    }
-
-    #[test]
     fn mutation_pays_no_full_evaluations() {
         // The trace accounts for every full Eq. 1 evaluation: pop at
         // init plus (pop - elite) per generation. Thousands of mutation
@@ -601,7 +504,7 @@ mod tests {
         // from scratch the full_evaluations counter could not balance.
         let inst = instance(10, 7);
         let mut rec = MemoryRecorder::new();
-        let out = FastMapGa::new(batched_config(2)).run_controlled(
+        let out = FastMapGa::new(config(2)).run_controlled(
             &inst,
             &mut StdRng::seed_from_u64(8),
             &mut rec,
@@ -614,90 +517,5 @@ mod tests {
             "swap mutation must go through the delta path"
         );
         assert!(rec.counter("crossovers") > 0);
-    }
-
-    #[test]
-    fn batched_stop_token_cancels_after_one_generation() {
-        use match_core::StopFlag;
-        let inst = instance(10, 9);
-        let flag = StopFlag::new();
-        flag.trip();
-        let out = FastMapGa::new(batched_config(2)).run_controlled(
-            &inst,
-            &mut StdRng::seed_from_u64(10),
-            &mut NullRecorder,
-            &StopToken::with_flag(flag),
-        );
-        assert_eq!(out.outcome.iterations, 1);
-        assert_eq!(out.best_per_generation.len(), 1);
-        assert!(out.outcome.mapping.validate(&inst).is_ok());
-    }
-
-    #[test]
-    fn batched_quality_comparable_to_sequential() {
-        let inst = instance(12, 11);
-        let seq = FastMapGa::new(GaConfig {
-            population: 60,
-            generations: 60,
-            ..GaConfig::paper_default()
-        })
-        .run(&inst, &mut StdRng::seed_from_u64(12));
-        let bat = FastMapGa::new(batched_config(2)).run(&inst, &mut StdRng::seed_from_u64(12));
-        // Different RNG streams, same operators and selection pressure:
-        // allow a modest gap either way.
-        assert!(
-            bat.outcome.cost <= 1.25 * seq.outcome.cost,
-            "batched {} vs sequential {}",
-            bat.outcome.cost,
-            seq.outcome.cost
-        );
-        for w in bat.best_per_generation.windows(2) {
-            assert!(w[1] <= w[0], "elitism keeps the batched best monotone");
-        }
-    }
-
-    #[test]
-    fn batched_no_elitism_still_tracks_best_ever() {
-        let inst = instance(10, 13);
-        let cfg = GaConfig {
-            elitism: false,
-            ..batched_config(2)
-        };
-        let out = FastMapGa::new(cfg).run(&inst, &mut StdRng::seed_from_u64(14));
-        for w in out.best_per_generation.windows(2) {
-            assert!(w[1] <= w[0]);
-        }
-        assert!(out.outcome.mapping.is_permutation());
-        // No elite rows: every child of every generation is evaluated.
-        assert_eq!(out.outcome.evaluations, 60 + 60 * 60);
-    }
-
-    #[test]
-    fn batched_variant_operators_produce_valid_mappings() {
-        use crate::engine::{CrossoverOp, MutationOp, SelectionOp};
-        let inst = instance(10, 15);
-        for selection in [SelectionOp::Roulette, SelectionOp::Tournament(3)] {
-            for crossover_op in [CrossoverOp::SinglePointRepair, CrossoverOp::Order] {
-                for mutation_op in [MutationOp::Swap, MutationOp::Inversion] {
-                    let cfg = GaConfig {
-                        population: 30,
-                        generations: 20,
-                        selection,
-                        crossover_op,
-                        mutation_op,
-                        ..batched_config(2)
-                    };
-                    let out = FastMapGa::new(cfg).run(&inst, &mut StdRng::seed_from_u64(16));
-                    assert!(
-                        out.outcome.mapping.is_permutation(),
-                        "{selection:?}/{crossover_op:?}/{mutation_op:?}"
-                    );
-                    assert_eq!(
-                        out.outcome.cost,
-                        exec_time(&inst, out.outcome.mapping.as_slice())
-                    );
-                }
-            }
-        }
     }
 }

@@ -7,8 +7,7 @@
 //! two orientations live here.
 
 use match_core::Mapping;
-use match_rngutil::perm::{invert_permutation, is_permutation, random_permutation};
-use rand::Rng;
+use match_rngutil::perm::{invert_permutation, is_permutation};
 
 /// A permutation chromosome, `genes[resource] = task`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -22,13 +21,6 @@ impl Chromosome {
     pub fn new(genes: Vec<usize>) -> Self {
         assert!(is_permutation(&genes), "chromosome must be a permutation");
         Chromosome { genes }
-    }
-
-    /// A uniformly random chromosome of length `n`.
-    pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        Chromosome {
-            genes: random_permutation(n, rng),
-        }
     }
 
     /// Number of genes (`|V_r|`).
@@ -51,12 +43,6 @@ impl Chromosome {
         &self.genes
     }
 
-    /// Mutable raw genes for operators. Callers must preserve the
-    /// permutation property.
-    pub(crate) fn genes_mut(&mut self) -> &mut [usize] {
-        &mut self.genes
-    }
-
     /// Convert to a task→resource [`Mapping`] (inverts the permutation).
     pub fn to_mapping(&self) -> Mapping {
         Mapping::new(invert_permutation(&self.genes))
@@ -71,14 +57,15 @@ impl Chromosome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use match_rngutil::perm::random_permutation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
-    fn random_chromosomes_are_permutations() {
+    fn new_accepts_permutations_of_every_length() {
         let mut rng = StdRng::seed_from_u64(1);
         for n in [0, 1, 5, 20] {
-            let c = Chromosome::random(n, &mut rng);
+            let c = Chromosome::new(random_permutation(n, &mut rng));
             assert_eq!(c.len(), n);
             assert!(is_permutation(c.genes()));
         }
@@ -93,7 +80,7 @@ mod tests {
     #[test]
     fn mapping_roundtrip() {
         let mut rng = StdRng::seed_from_u64(2);
-        let c = Chromosome::random(10, &mut rng);
+        let c = Chromosome::new(random_permutation(10, &mut rng));
         let m = c.to_mapping();
         assert!(m.is_permutation());
         // genes[resource] = task  <=>  mapping[task] = resource

@@ -1,18 +1,10 @@
-//! The FastMap-GA engine: roulette selection, crossover, mutation,
-//! elitism, fixed generation budget.
+//! The FastMap-GA configuration and solver: roulette selection,
+//! crossover, mutation, elitism, fixed generation budget. The generation
+//! loop itself lives in [`crate::batch`].
 
-use crate::chromosome::Chromosome;
-use crate::operators::{crossover, mutate};
-use crate::variants::{inversion_mutate, order_crossover, tournament_select};
-use match_core::{
-    exec_time, record_run_end, record_run_start, EvalBackend, Mapper, MapperOutcome,
-    MappingInstance, SamplerMode, StopToken,
-};
-use match_rngutil::roulette::RouletteWheel;
-use match_telemetry::{Event, IterEvent, NullRecorder, Recorder};
+use match_core::{EvalBackend, Mapper, MapperOutcome, MappingInstance, StopToken};
+use match_telemetry::{NullRecorder, Recorder};
 use rand::rngs::StdRng;
-use rand::Rng;
-use std::time::Instant;
 
 /// Parent-selection operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,22 +56,13 @@ pub struct GaConfig {
     pub crossover_op: CrossoverOp,
     /// Mutation operator (paper: per-gene swap).
     pub mutation_op: MutationOp,
-    /// Worker threads for the batched generation pipeline. The library
-    /// default is 1 so that plain configs keep reproducing the
-    /// historical sequential trajectories; the CLI and the daemon pass
-    /// `match_par::default_threads()`.
+    /// Worker threads for the generation loop. The outcome is the same
+    /// for every value; the library default is 1 (the paper's runs),
+    /// while the CLI and the daemon pass `match_par::default_threads()`.
     pub threads: usize,
-    /// Generation-loop pipeline selection, mirroring
-    /// [`match_core::MatchConfig`]: `Auto` resolves through the shared
-    /// [`SamplerMode::resolved_for`] cutover (thread count and instance
-    /// size), `Sequential` pins the historical per-individual loop
-    /// (bit-exact RNG stream), `Batched` pins the flat-buffer parallel
-    /// loop (a *different* stream, identical for every thread count).
-    pub sampler: SamplerMode,
-    /// Evaluation backend for the batched pipeline's per-chunk fitness
-    /// batches, mirroring [`match_core::MatchConfig`]'s `backend`: the
-    /// Scalar and Simd kernels are bit-identical, so this changes
-    /// throughput only. Ignored by the sequential engine.
+    /// Evaluation backend for the per-chunk fitness batches, mirroring
+    /// [`match_core::MatchConfig`]'s `backend`: the Scalar and Simd
+    /// kernels are bit-identical, so this changes throughput only.
     pub backend: EvalBackend,
 }
 
@@ -104,17 +87,14 @@ impl GaConfig {
             crossover_op: CrossoverOp::SinglePointRepair,
             mutation_op: MutationOp::Swap,
             threads: 1,
-            sampler: SamplerMode::Auto,
             backend: EvalBackend::Auto,
         }
     }
 
-    /// The paper configuration on the batched pipeline: all available
-    /// cores, [`SamplerMode::Batched`] pinned regardless of the count.
+    /// The paper configuration on all available cores.
     pub fn batched_paper() -> Self {
         GaConfig {
             threads: match_par::default_threads(),
-            sampler: SamplerMode::Batched,
             ..GaConfig::paper_default()
         }
     }
@@ -235,169 +215,7 @@ impl FastMapGa {
             inst.is_square(),
             "FastMap-GA's permutation encoding needs |V_t| = |V_r|"
         );
-        // The Auto→Batched decision (thread count, instance-size
-        // cutover, size-0 degenerate case) is shared with the CE matcher
-        // via `SamplerMode::resolved_for` so the two cannot diverge.
-        let mode = self
-            .config
-            .sampler
-            .resolved_for(self.config.threads, inst.n_tasks());
-        if mode == SamplerMode::Batched {
-            return crate::batch::run_batched(&self.config, inst, rng, recorder, stop);
-        }
-        self.run_sequential(inst, rng, recorder, stop)
-    }
-
-    /// The historical per-individual generation loop (`Sequential`):
-    /// heap-allocated chromosomes, linear roulette wheel, one full
-    /// Eq. 1/Eq. 2 evaluation per child. Its RNG stream is bit-exact
-    /// with every release since the seed.
-    fn run_sequential(
-        &self,
-        inst: &MappingInstance,
-        rng: &mut StdRng,
-        recorder: &mut dyn Recorder,
-        stop: &StopToken,
-    ) -> GaOutcome {
-        record_run_start(recorder, "FastMap-GA", inst);
-        let traced = recorder.enabled();
-        let start = Instant::now();
-        let n = inst.n_tasks();
-        let pop_size = self.config.population;
-
-        // Initial population: random permutations (§5.1).
-        let mut population: Vec<Chromosome> =
-            (0..pop_size).map(|_| Chromosome::random(n, rng)).collect();
-        let mut costs: Vec<f64> = population
-            .iter()
-            .map(|c| exec_time(inst, c.to_mapping().as_slice()))
-            .collect();
-        let mut evaluations = pop_size as u64;
-
-        let mut best_idx = argmin(&costs);
-        let mut best = population[best_idx].clone();
-        let mut best_cost = costs[best_idx];
-        let mut best_per_generation = Vec::with_capacity(self.config.generations);
-
-        let mut next_pop: Vec<Chromosome> = Vec::with_capacity(pop_size);
-        let mut generations_run = 0;
-        for gen in 0..self.config.generations {
-            let gen_start = traced.then(Instant::now);
-            let mut crossovers = 0u64;
-            let mut mutations = 0u64;
-            // Fitness Ψ = K / Exec and the configured selection over it.
-            let wheel = match self.config.selection {
-                SelectionOp::Roulette => {
-                    let fitness: Vec<f64> = costs
-                        .iter()
-                        .map(|&c| {
-                            if c > 0.0 {
-                                self.config.fitness_k / c
-                            } else {
-                                f64::MAX
-                            }
-                        })
-                        .collect();
-                    Some(
-                        RouletteWheel::new(&fitness).expect("positive costs give positive fitness"),
-                    )
-                }
-                SelectionOp::Tournament(_) => None,
-            };
-            let select = |rng: &mut StdRng| -> usize {
-                match self.config.selection {
-                    SelectionOp::Roulette => wheel.as_ref().expect("built above").spin(rng),
-                    SelectionOp::Tournament(k) => tournament_select(&costs, k, rng),
-                }
-            };
-
-            next_pop.clear();
-            if self.config.elitism {
-                next_pop.push(best.clone());
-            }
-            while next_pop.len() < pop_size {
-                let p1 = &population[select(rng)];
-                let mut child = if rng.random::<f64>() < self.config.crossover_prob {
-                    let p2 = &population[select(rng)];
-                    crossovers += 1;
-                    match self.config.crossover_op {
-                        CrossoverOp::SinglePointRepair => crossover(p1, p2, rng),
-                        CrossoverOp::Order => order_crossover(p1, p2, rng),
-                    }
-                } else {
-                    p1.clone()
-                };
-                // The operators draw per-gene, so "did this child mutate"
-                // is only observable by comparison; pay the clone only
-                // when someone is listening.
-                let pre_mutation = traced.then(|| child.clone());
-                match self.config.mutation_op {
-                    MutationOp::Swap => mutate(&mut child, self.config.mutation_prob, rng),
-                    MutationOp::Inversion => {
-                        inversion_mutate(&mut child, self.config.mutation_prob, rng)
-                    }
-                }
-                if pre_mutation.is_some_and(|before| before != child) {
-                    mutations += 1;
-                }
-                next_pop.push(child);
-            }
-            std::mem::swap(&mut population, &mut next_pop);
-
-            costs.clear();
-            costs.extend(
-                population
-                    .iter()
-                    .map(|c| exec_time(inst, c.to_mapping().as_slice())),
-            );
-            evaluations += pop_size as u64;
-
-            best_idx = argmin(&costs);
-            if costs[best_idx] < best_cost {
-                best_cost = costs[best_idx];
-                best = population[best_idx].clone();
-            }
-            best_per_generation.push(best_cost);
-
-            if let Some(gen_start) = gen_start {
-                recorder.record(Event::Counter {
-                    name: "crossovers".into(),
-                    value: crossovers,
-                });
-                recorder.record(Event::Counter {
-                    name: "mutations".into(),
-                    value: mutations,
-                });
-                recorder.record(Event::Iter(IterEvent {
-                    iter: gen as u64,
-                    best: best_cost,
-                    mean: costs.iter().sum::<f64>() / pop_size as f64,
-                    gamma: None,
-                    elite_size: u64::from(self.config.elitism),
-                    wall_ns: gen_start.elapsed().as_nanos() as u64,
-                }));
-            }
-            generations_run = gen + 1;
-            // Cooperative cancellation: at least one generation always
-            // completes, so a cancelled run still returns a valid
-            // permutation and its true cost.
-            if stop.should_stop() {
-                break;
-            }
-        }
-
-        let result = GaOutcome {
-            outcome: MapperOutcome {
-                mapping: best.to_mapping(),
-                cost: best_cost,
-                evaluations,
-                iterations: generations_run,
-                elapsed: start.elapsed(),
-            },
-            best_per_generation,
-        };
-        record_run_end(recorder, &result.outcome);
-        result
+        crate::batch::run_batched(&self.config, inst, rng, recorder, stop)
     }
 }
 
@@ -443,6 +261,7 @@ impl Mapper for FastMapGa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use match_core::exec_time;
     use match_graph::gen::InstanceGenerator;
     use match_rngutil::perm::random_permutation;
     use rand::SeedableRng;
@@ -470,7 +289,9 @@ mod tests {
             exec_time(&inst, out.outcome.mapping.as_slice())
         );
         assert_eq!(out.best_per_generation.len(), 60);
-        assert_eq!(out.outcome.evaluations, 61 * 60);
+        // pop initial evaluations + (pop - 1 elite) per generation: the
+        // carried elite is never re-scored.
+        assert_eq!(out.outcome.evaluations, 60 + 60 * 59);
     }
 
     #[test]
@@ -580,6 +401,8 @@ mod tests {
             assert!(w[1] <= w[0]);
         }
         assert!(out.outcome.mapping.is_permutation());
+        // No elite rows: every child of every generation is evaluated.
+        assert_eq!(out.outcome.evaluations, 60 + 60 * 60);
     }
 
     #[test]
@@ -600,6 +423,10 @@ mod tests {
                     assert!(
                         out.outcome.mapping.is_permutation(),
                         "{selection:?}/{crossover_op:?}/{mutation_op:?}"
+                    );
+                    assert_eq!(
+                        out.outcome.cost,
+                        exec_time(&inst, out.outcome.mapping.as_slice())
                     );
                 }
             }
@@ -628,6 +455,17 @@ mod tests {
             tournament.outcome.cost,
             roulette.outcome.cost
         );
+    }
+
+    #[test]
+    fn empty_instance_maps_to_the_empty_mapping() {
+        use match_graph::{Graph, ResourceGraph, TaskGraph};
+        let tig = TaskGraph::new(Graph::new()).unwrap();
+        let res = ResourceGraph::new(Graph::new()).unwrap();
+        let inst = MappingInstance::new(&tig, &res);
+        let out = FastMapGa::new(small_config()).run(&inst, &mut StdRng::seed_from_u64(1));
+        assert!(out.outcome.mapping.is_empty());
+        assert_eq!(out.outcome.cost, 0.0);
     }
 
     #[test]

@@ -22,12 +22,10 @@
 //! [`GaConfig::paper_default`] (500/1000), [`GaConfig::anova_100_10000`]
 //! and [`GaConfig::anova_1000_1000`].
 //!
-//! Two generation pipelines produce the populations
-//! ([`GaConfig::sampler`], mirroring `match-core`'s `SamplerMode`):
-//! `Sequential` is the historical per-individual loop with a bit-exact
-//! RNG stream, `Batched` ([`batch`]) runs the same operators over flat
-//! reused `population × n` buffers with parallel fan-out, alias-method
-//! roulette, and O(degree) delta-cost mutation.
+//! One generation loop ([`batch`]) produces the populations: flat reused
+//! `population × n` buffers with parallel fan-out that is bit-identical
+//! for every thread count, alias-method roulette, and O(degree)
+//! delta-cost mutation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,10 @@
-//! GA variation operators (paper Figure 6).
+//! GA variation operators (paper Figure 6), on flat gene slices.
 
-use crate::chromosome::Chromosome;
+use crate::engine::MutationOp;
 use rand::Rng;
 
-/// Single-point crossover with duplicate repair (Figure 6a).
+/// Single-point crossover with duplicate repair (Figure 6a), writing the
+/// child of `parent1 × parent2` into `child` (all three of length `n`).
 ///
 /// 1. Copy the first half of `parent1` onto the child.
 /// 2. For each second-half position, take `parent2`'s gene at that
@@ -13,28 +14,10 @@ use rand::Rng;
 ///    duplicate". A final fallback over all of `parent2` covers the
 ///    odd-length corner case where the first half alone cannot supply a
 ///    fresh gene.
-pub fn crossover<R: Rng + ?Sized>(
-    parent1: &Chromosome,
-    parent2: &Chromosome,
-    rng: &mut R,
-) -> Chromosome {
-    let n = parent1.len();
-    assert_eq!(n, parent2.len(), "parent length mismatch");
-    let _ = rng; // the paper's operator is deterministic given the parents
-    if n == 0 {
-        return parent1.clone();
-    }
-    let mut genes = vec![0usize; n];
-    let mut used = Vec::new();
-    crossover_into(parent1.genes(), parent2.genes(), &mut genes, &mut used);
-    Chromosome::new(genes)
-}
-
-/// The slice core of [`crossover`]: write the repaired single-point
-/// child of `parent1 × parent2` into `child` (all three of length
-/// `n > 0`). `used` is caller-owned scratch, cleared and resized here,
-/// so the batched engine's per-worker buffers make a crossover
-/// allocation-free. Same child as [`crossover`] for the same parents.
+///
+/// The operator is deterministic given the parents. `used` is
+/// caller-owned scratch, cleared and resized here, so the engine's
+/// per-worker buffers make a crossover allocation-free.
 pub fn crossover_into(
     parent1: &[usize],
     parent2: &[usize],
@@ -76,103 +59,138 @@ pub fn crossover_into(
     }
 }
 
-/// Per-gene swap mutation (Figure 6b): each gene independently mutates
-/// with probability `p`, exchanging its value with a uniformly chosen
-/// other position — the standard permutation-preserving reading of a
-/// "mutation operator applied on each gene based on the mutation
-/// probability".
-pub fn mutate<R: Rng + ?Sized>(c: &mut Chromosome, p: f64, rng: &mut R) {
-    let n = c.len();
+/// Mutate `genes` in place and return the number of transpositions made.
+///
+/// * [`MutationOp::Swap`] — per-gene swap (Figure 6b): each gene
+///   independently mutates with probability `p`, exchanging its value
+///   with a uniformly chosen position — the standard
+///   permutation-preserving reading of a "mutation operator applied on
+///   each gene based on the mutation probability".
+/// * [`MutationOp::Inversion`] — with probability `p`, reverse a random
+///   segment, as a sequence of outside-in swaps.
+///
+/// Every transposition is reported as `on_swap(a, b)` with the two genes
+/// (tasks) it exchanged, so the engine can mirror it into delta-updated
+/// per-resource loads instead of re-evaluating the child.
+pub fn mutate_in_place<R: Rng + ?Sized>(
+    op: MutationOp,
+    p: f64,
+    genes: &mut [usize],
+    rng: &mut R,
+    mut on_swap: impl FnMut(usize, usize),
+) -> u64 {
+    let n = genes.len();
+    let mut swaps = 0u64;
     if n < 2 {
-        return;
+        return swaps;
     }
-    for i in 0..n {
-        if rng.random::<f64>() < p {
-            let j = rng.random_range(0..n);
-            c.genes_mut().swap(i, j);
+    let mut swap = |genes: &mut [usize], i: usize, j: usize| {
+        on_swap(genes[i], genes[j]);
+        genes.swap(i, j);
+        swaps += 1;
+    };
+    match op {
+        MutationOp::Swap => {
+            for i in 0..n {
+                if rng.random::<f64>() < p {
+                    let j = rng.random_range(0..n);
+                    if i != j {
+                        swap(genes, i, j);
+                    }
+                }
+            }
+        }
+        MutationOp::Inversion => {
+            if rng.random::<f64>() < p {
+                let a = rng.random_range(0..n);
+                let b = rng.random_range(0..n);
+                let (mut lo, mut hi) = if a <= b { (a, b) } else { (b, a) };
+                while lo < hi {
+                    swap(genes, lo, hi);
+                    lo += 1;
+                    hi -= 1;
+                }
+            }
         }
     }
+    swaps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use match_rngutil::perm::is_permutation;
+    use match_rngutil::perm::{is_permutation, random_permutation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn child_of(a: &[usize], b: &[usize]) -> Vec<usize> {
+        let mut child = vec![usize::MAX; a.len()];
+        crossover_into(a, b, &mut child, &mut Vec::new());
+        child
+    }
 
     #[test]
     fn crossover_yields_permutations() {
         let mut rng = StdRng::seed_from_u64(11);
         for n in [1, 2, 3, 7, 8, 15, 20] {
             for _ in 0..50 {
-                let a = Chromosome::random(n, &mut rng);
-                let b = Chromosome::random(n, &mut rng);
-                let child = crossover(&a, &b, &mut rng);
-                assert_eq!(child.len(), n);
-                assert!(is_permutation(child.genes()), "n={n}");
+                let a = random_permutation(n, &mut rng);
+                let b = random_permutation(n, &mut rng);
+                let child = child_of(&a, &b);
+                assert!(is_permutation(&child), "n={n}");
             }
         }
     }
 
     #[test]
     fn crossover_copies_first_half_of_parent1() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let a = Chromosome::new(vec![3, 1, 4, 0, 2, 5]);
-        let b = Chromosome::new(vec![5, 4, 3, 2, 1, 0]);
-        let child = crossover(&a, &b, &mut rng);
-        assert_eq!(&child.genes()[..3], &[3, 1, 4]);
+        let child = child_of(&[3, 1, 4, 0, 2, 5], &[5, 4, 3, 2, 1, 0]);
+        assert_eq!(&child[..3], &[3, 1, 4]);
     }
 
     #[test]
     fn crossover_prefers_parent2_second_half_genes() {
-        let mut rng = StdRng::seed_from_u64(13);
         // a = [0,1,2,3]; b = [1,0,3,2]. Child first half [0,1].
         // Position 2: b[2]=3 not used -> 3. Position 3: b[3]=2 -> 2.
-        let a = Chromosome::new(vec![0, 1, 2, 3]);
-        let b = Chromosome::new(vec![1, 0, 3, 2]);
-        let child = crossover(&a, &b, &mut rng);
-        assert_eq!(child.genes(), &[0, 1, 3, 2]);
+        assert_eq!(child_of(&[0, 1, 2, 3], &[1, 0, 3, 2]), [0, 1, 3, 2]);
     }
 
     #[test]
     fn crossover_repairs_duplicates_from_first_half_in_order() {
-        let mut rng = StdRng::seed_from_u64(14);
-        // a = [0,1,2,3]; b = [2,1,0,3] (wait: b must be a permutation).
         // Child first half = [0,1]. Position 2: b[2] = 0 → duplicate;
         // scan b's first half in order: b[0] = 2 unused → take 2.
         // Position 3: b[3] = 3 unused → 3.
-        let a = Chromosome::new(vec![0, 1, 2, 3]);
-        let b = Chromosome::new(vec![2, 1, 0, 3]);
-        let child = crossover(&a, &b, &mut rng);
-        assert_eq!(child.genes(), &[0, 1, 2, 3]);
+        assert_eq!(child_of(&[0, 1, 2, 3], &[2, 1, 0, 3]), [0, 1, 2, 3]);
     }
 
     #[test]
     fn identical_parents_reproduce_themselves() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let a = Chromosome::new(vec![4, 2, 0, 1, 3]);
-        let child = crossover(&a, &a.clone(), &mut rng);
-        assert_eq!(child, a);
+        let a = [4, 2, 0, 1, 3];
+        assert_eq!(child_of(&a, &a), a);
     }
 
     #[test]
     fn mutation_preserves_permutations() {
         let mut rng = StdRng::seed_from_u64(16);
-        for _ in 0..100 {
-            let mut c = Chromosome::random(12, &mut rng);
-            mutate(&mut c, 0.5, &mut rng);
-            assert!(is_permutation(c.genes()));
+        for op in [MutationOp::Swap, MutationOp::Inversion] {
+            for _ in 0..100 {
+                let mut genes = random_permutation(12, &mut rng);
+                mutate_in_place(op, 0.5, &mut genes, &mut rng, |_, _| {});
+                assert!(is_permutation(&genes), "{op:?}");
+            }
         }
     }
 
     #[test]
     fn zero_probability_never_mutates() {
         let mut rng = StdRng::seed_from_u64(17);
-        let mut c = Chromosome::random(10, &mut rng);
-        let before = c.clone();
-        mutate(&mut c, 0.0, &mut rng);
-        assert_eq!(c, before);
+        for op in [MutationOp::Swap, MutationOp::Inversion] {
+            let mut genes = random_permutation(10, &mut rng);
+            let before = genes.clone();
+            let swaps = mutate_in_place(op, 0.0, &mut genes, &mut rng, |_, _| {});
+            assert_eq!(swaps, 0);
+            assert_eq!(genes, before, "{op:?}");
+        }
     }
 
     #[test]
@@ -180,10 +198,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         let mut changed = 0;
         for _ in 0..50 {
-            let mut c = Chromosome::random(10, &mut rng);
-            let before = c.clone();
-            mutate(&mut c, 1.0, &mut rng);
-            if c != before {
+            let mut genes = random_permutation(10, &mut rng);
+            let before = genes.clone();
+            mutate_in_place(MutationOp::Swap, 1.0, &mut genes, &mut rng, |_, _| {});
+            if genes != before {
                 changed += 1;
             }
         }
@@ -191,13 +209,37 @@ mod tests {
     }
 
     #[test]
+    fn reported_swaps_replay_the_mutation() {
+        // The delta-cost path sees only the reported transpositions, so
+        // replaying them on the parent must reproduce the child.
+        let mut rng = StdRng::seed_from_u64(20);
+        for op in [MutationOp::Swap, MutationOp::Inversion] {
+            for _ in 0..100 {
+                let mut genes = random_permutation(9, &mut rng);
+                let mut replay = genes.clone();
+                let mut seen = 0u64;
+                let swaps = mutate_in_place(op, 0.7, &mut genes, &mut rng, |a, b| {
+                    let i = replay.iter().position(|&g| g == a).unwrap();
+                    let j = replay.iter().position(|&g| g == b).unwrap();
+                    replay.swap(i, j);
+                    seen += 1;
+                });
+                assert_eq!(swaps, seen);
+                assert_eq!(replay, genes, "{op:?}");
+            }
+        }
+    }
+
+    #[test]
     fn tiny_chromosomes_survive_mutation() {
         let mut rng = StdRng::seed_from_u64(19);
-        let mut c = Chromosome::new(vec![0]);
-        mutate(&mut c, 1.0, &mut rng);
-        assert_eq!(c.genes(), &[0]);
-        let mut c = Chromosome::new(vec![]);
-        mutate(&mut c, 1.0, &mut rng);
-        assert!(c.is_empty());
+        for op in [MutationOp::Swap, MutationOp::Inversion] {
+            let mut genes = vec![0];
+            mutate_in_place(op, 1.0, &mut genes, &mut rng, |_, _| {});
+            assert_eq!(genes, [0]);
+            let mut genes: Vec<usize> = Vec::new();
+            mutate_in_place(op, 1.0, &mut genes, &mut rng, |_, _| {});
+            assert!(genes.is_empty());
+        }
     }
 }

@@ -1,50 +1,48 @@
-//! Property-based tests for the GA operators: every operator must
-//! preserve the permutation property for arbitrary parents and seeds.
+//! Property-based tests for the GA operators: every operator the
+//! generation loop runs must preserve the permutation property for
+//! arbitrary parents and seeds.
 
 use match_ga::chromosome::Chromosome;
-use match_ga::operators::{crossover, mutate};
-use match_ga::variants::{inversion_mutate, order_crossover, tournament_select};
-use match_rngutil::perm::is_permutation;
+use match_ga::operators::{crossover_into, mutate_in_place};
+use match_ga::variants::{order_crossover_into, tournament_select};
+use match_ga::MutationOp;
+use match_rngutil::perm::{is_permutation, random_permutation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn chromo(n: usize, seed: u64) -> Chromosome {
-    Chromosome::random(n, &mut StdRng::seed_from_u64(seed))
+fn genes(n: usize, seed: u64) -> Vec<usize> {
+    random_permutation(n, &mut StdRng::seed_from_u64(seed))
 }
 
 proptest! {
     #[test]
     fn single_point_crossover_valid(n in 1usize..30, s1 in any::<u64>(), s2 in any::<u64>()) {
-        let a = chromo(n, s1);
-        let b = chromo(n, s2);
-        let mut rng = StdRng::seed_from_u64(s1 ^ s2);
-        let child = crossover(&a, &b, &mut rng);
-        prop_assert_eq!(child.len(), n);
-        prop_assert!(is_permutation(child.genes()));
+        let (a, b) = (genes(n, s1), genes(n, s2));
+        let mut child = vec![usize::MAX; n];
+        crossover_into(&a, &b, &mut child, &mut Vec::new());
+        prop_assert!(is_permutation(&child));
         // First half always comes from parent 1.
-        for i in 0..n / 2 {
-            prop_assert_eq!(child.gene(i), a.gene(i));
-        }
+        prop_assert_eq!(&child[..n / 2], &a[..n / 2]);
     }
 
     #[test]
     fn order_crossover_valid(n in 1usize..30, s1 in any::<u64>(), s2 in any::<u64>()) {
-        let a = chromo(n, s1);
-        let b = chromo(n, s2);
+        let (a, b) = (genes(n, s1), genes(n, s2));
         let mut rng = StdRng::seed_from_u64(s1.wrapping_add(s2));
-        let child = order_crossover(&a, &b, &mut rng);
-        prop_assert!(is_permutation(child.genes()));
+        let mut child = vec![usize::MAX; n];
+        order_crossover_into(&a, &b, &mut child, &mut Vec::new(), &mut rng);
+        prop_assert!(is_permutation(&child));
     }
 
     #[test]
     fn mutations_valid(n in 1usize..30, seed in any::<u64>(), p in 0.0f64..=1.0) {
-        let mut c = chromo(n, seed);
+        let mut g = genes(n, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xAB);
-        mutate(&mut c, p, &mut rng);
-        prop_assert!(is_permutation(c.genes()));
-        inversion_mutate(&mut c, p, &mut rng);
-        prop_assert!(is_permutation(c.genes()));
+        mutate_in_place(MutationOp::Swap, p, &mut g, &mut rng, |_, _| {});
+        prop_assert!(is_permutation(&g));
+        mutate_in_place(MutationOp::Inversion, p, &mut g, &mut rng, |_, _| {});
+        prop_assert!(is_permutation(&g));
     }
 
     #[test]
@@ -57,7 +55,7 @@ proptest! {
 
     #[test]
     fn chromosome_mapping_roundtrip(n in 0usize..40, seed in any::<u64>()) {
-        let c = chromo(n, seed);
+        let c = Chromosome::new(genes(n, seed));
         let m = c.to_mapping();
         prop_assert_eq!(Chromosome::from_mapping(&m), c);
     }

@@ -20,8 +20,7 @@ use crate::project::project;
 use crate::refine::refine_pass;
 use match_core::{
     exec_per_resource, exec_time, record_run_end, record_run_start, EvalBackend, Mapper,
-    MapperOutcome, Mapping, MappingInstance, MatchConfig, Matcher, MultilevelConfig, SamplerMode,
-    StopToken,
+    MapperOutcome, Mapping, MappingInstance, MatchConfig, Matcher, MultilevelConfig, StopToken,
 };
 use match_ga::{FastMapGa, GaConfig};
 use match_rngutil::{derive_seed_str, rng_from};
@@ -32,9 +31,8 @@ use std::time::Instant;
 
 /// Which existing heuristic solves the coarsest instance.
 ///
-/// Both arms pin [`SamplerMode::Batched`]: `Auto` resolves against the
-/// thread count, which would break the driver's bit-identity guarantee
-/// across thread counts. The inner run is never traced — the driver
+/// Both arms are bit-identical across thread counts, which the driver's
+/// own guarantee relies on. The inner run is never traced — the driver
 /// emits its own telemetry envelope.
 #[derive(Debug, Clone)]
 pub enum CoarseSolver {
@@ -49,10 +47,7 @@ pub enum CoarseSolver {
 impl CoarseSolver {
     /// Default coarse solver: batched CE with the paper configuration.
     pub fn default_ce() -> Self {
-        CoarseSolver::Ce(MatchConfig {
-            sampler: SamplerMode::Batched,
-            ..MatchConfig::default()
-        })
+        CoarseSolver::Ce(MatchConfig::default())
     }
 
     fn solve(
@@ -65,7 +60,6 @@ impl CoarseSolver {
         match self {
             CoarseSolver::Ce(cfg) => {
                 let matcher = Matcher::new(MatchConfig {
-                    sampler: SamplerMode::Batched,
                     backend,
                     ..cfg.clone()
                 });
@@ -80,7 +74,6 @@ impl CoarseSolver {
             CoarseSolver::Ga(cfg) => {
                 if inst.is_square() {
                     FastMapGa::new(GaConfig {
-                        sampler: SamplerMode::Batched,
                         backend,
                         ..cfg.clone()
                     })
@@ -88,7 +81,6 @@ impl CoarseSolver {
                     .outcome
                 } else {
                     Matcher::new(MatchConfig {
-                        sampler: SamplerMode::Batched,
                         backend,
                         ..MatchConfig::default()
                     })

@@ -1,7 +1,7 @@
 //! Chunk partitioning for parallel loops.
 //!
-//! Both the fork/join map and the worker pool split an index range
-//! `0..len` into contiguous chunks, one or more per worker. Objective
+//! The fork/join map splits an index range `0..len` into contiguous
+//! chunks, one or more per worker. Objective
 //! evaluations in MaTCH all cost roughly the same, so plain block
 //! partitioning is near-optimal; a finer-grained policy is provided for
 //! irregular workloads (e.g. simulating instances of mixed sizes).

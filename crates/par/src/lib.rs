@@ -3,19 +3,16 @@
 //! MaTCH evaluates `N = 2|V_r|²` sampled mappings per iteration — for the
 //! paper's largest configuration that is 5 000 objective evaluations per
 //! iteration, each O(|V| + |E|), repeated over hundreds of iterations.
-//! The evaluations are embarrassingly parallel, so the `Matcher` (and the
-//! GA's population evaluation) fan them out through this crate.
+//! The evaluations are embarrassingly parallel, so the CE loop (and the
+//! GA's generation loop) fan them out through this crate.
 //!
-//! The crate deliberately implements the two classic shapes itself rather
+//! The crate deliberately implements one fork/join shape itself rather
 //! than pulling a full work-stealing runtime:
 //!
-//! * [`scope_map`] — fork/join chunked `parallel_map` / `parallel_map_init`
-//!   over an index range using `crossbeam`'s scoped threads; zero setup
-//!   cost per call site, borrows allowed.
-//! * [`pool`] — a persistent [`pool::WorkerPool`] with a shared injector
-//!   queue and a wait-group, for callers that dispatch many small batches
-//!   and cannot afford per-batch thread spawns.
-//! * [`chunk`] — the chunk-partitioning policy shared by both.
+//! * [`scope_map`] — chunked `parallel_map` and the fused row fills
+//!   (`parallel_fill_rows*`) over an index range using `crossbeam`'s
+//!   scoped threads; zero setup cost per call site, borrows allowed.
+//! * [`chunk`] — the chunk-partitioning policy.
 //!
 //! All APIs are deterministic in their *results* (outputs land at their
 //! input's index) though of course not in execution order.
@@ -24,14 +21,12 @@
 #![warn(missing_docs)]
 
 pub mod chunk;
-pub mod pool;
 pub mod scope_map;
 
 pub use chunk::{chunk_ranges, ChunkPolicy};
-pub use pool::WorkerPool;
 pub use scope_map::{
     parallel_fill, parallel_fill_rows, parallel_fill_rows_chunked, parallel_map, parallel_map_init,
-    parallel_map_timed, parallel_reduce, ChunkTiming,
+    ChunkTiming,
 };
 
 /// Number of worker threads to use by default: the machine's available

@@ -1,9 +1,8 @@
-//! Fork/join parallel map and reduce over index ranges.
+//! Fork/join parallel map and fill over index ranges.
 //!
 //! Built on `crossbeam::thread::scope`, so closures may borrow from the
 //! caller's stack (the MaTCH sampler borrows the instance's cost tables).
-//! Threads are spawned per call; for many tiny batches use
-//! [`crate::pool::WorkerPool`] instead.
+//! Threads are spawned per call.
 
 use crate::chunk::{chunk_ranges, ChunkPolicy};
 
@@ -45,10 +44,12 @@ where
         .collect()
 }
 
-/// Wall-clock timing of one chunk dispatched by [`parallel_map_timed`].
+/// Wall-clock timing of one chunk dispatched by [`parallel_fill_rows`]
+/// or [`parallel_fill_rows_chunked`].
 ///
 /// `match-par` stays telemetry-agnostic: callers that trace convert these
-/// into their own event types (match-core turns them into pool events).
+/// into their own event types (the CE and GA loops turn them into pool
+/// events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkTiming {
     /// Chunk index within the dispatch (0-based).
@@ -57,77 +58,6 @@ pub struct ChunkTiming {
     pub len: u64,
     /// Wall-clock nanoseconds the chunk's worker spent on it.
     pub wall_ns: u64,
-}
-
-/// [`parallel_map`] that also reports per-chunk wall-clock timings, so
-/// callers can observe dispatch imbalance. The inline path (single
-/// thread or small input) reports one chunk covering the whole range.
-pub fn parallel_map_timed<T, F>(len: usize, threads: usize, f: F) -> (Vec<T>, Vec<ChunkTiming>)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    use std::time::Instant;
-
-    let threads = threads.max(1);
-    if threads == 1 || len < parallel_threshold() {
-        let start = Instant::now();
-        let out: Vec<T> = (0..len).map(&f).collect();
-        let timings = if len == 0 {
-            Vec::new()
-        } else {
-            vec![ChunkTiming {
-                chunk: 0,
-                len: len as u64,
-                wall_ns: start.elapsed().as_nanos() as u64,
-            }]
-        };
-        return (out, timings);
-    }
-
-    let ranges = chunk_ranges(len, threads, ChunkPolicy::PerWorker);
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(len, || None);
-    let mut pieces: Vec<(usize, &mut [Option<T>])> = Vec::with_capacity(ranges.len());
-    let mut rest = out.as_mut_slice();
-    let mut offset = 0;
-    for r in &ranges {
-        let (head, tail) = rest.split_at_mut(r.len());
-        pieces.push((offset, head));
-        rest = tail;
-        offset += r.len();
-    }
-    let timings: Vec<ChunkTiming> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = pieces
-            .into_iter()
-            .enumerate()
-            .map(|(chunk, (base, piece))| {
-                let f = &f;
-                scope.spawn(move |_| {
-                    let start = Instant::now();
-                    let n = piece.len();
-                    for (k, slot) in piece.iter_mut().enumerate() {
-                        *slot = Some(f(base + k));
-                    }
-                    ChunkTiming {
-                        chunk: chunk as u64,
-                        len: n as u64,
-                        wall_ns: start.elapsed().as_nanos() as u64,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed");
-    let out = out
-        .into_iter()
-        .map(|x| x.expect("every index filled"))
-        .collect();
-    (out, timings)
 }
 
 /// Fill `out` in parallel: `f(state, i, &mut out[i])` runs once per index,
@@ -139,40 +69,10 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut T) + Sync,
 {
-    let len = out.len();
-    let threads = threads.max(1);
-    if threads == 1 || len < parallel_threshold() {
-        let mut state = init();
-        for (i, slot) in out.iter_mut().enumerate() {
-            f(&mut state, i, slot);
-        }
-        return;
-    }
-    let ranges = chunk_ranges(len, threads, ChunkPolicy::PerWorker);
-    // Hand each worker a disjoint sub-slice; indices are reconstructed
-    // from the chunk offset.
-    let mut pieces: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-    let mut rest = out;
-    let mut offset = 0;
-    for r in &ranges {
-        let (head, tail) = rest.split_at_mut(r.len());
-        pieces.push((offset, head));
-        rest = tail;
-        offset += r.len();
-    }
-    crossbeam::thread::scope(|scope| {
-        for (base, piece) in pieces {
-            let f = &f;
-            let init = &init;
-            scope.spawn(move |_| {
-                let mut state = init();
-                for (k, slot) in piece.iter_mut().enumerate() {
-                    f(&mut state, base + k, slot);
-                }
-            });
-        }
-    })
-    .expect("worker panicked");
+    // Zero-width rows: `out` is the per-row slot buffer.
+    parallel_fill_rows(&mut [(); 0], out, 0, threads, init, |state, i, _, slot| {
+        f(state, i, slot)
+    });
 }
 
 /// Fill `aux.len()` disjoint `width`-sized rows of `data` — plus one
@@ -185,8 +85,8 @@ where
 /// cost). Both buffers are caller-owned, so repeated batches reuse one
 /// allocation each. `data.len()` must equal `aux.len() * width`.
 ///
-/// Chunking, the inline fast path (`threads <= 1` or fewer rows than
-/// [`parallel_threshold`]) and result determinism match [`parallel_fill`].
+/// Chunking, the inline fast path and the timings are those of
+/// [`parallel_fill_rows_chunked`], which runs the row loop per chunk.
 pub fn parallel_fill_rows<T, U, S, I, F>(
     data: &mut [T],
     aux: &mut [U],
@@ -201,79 +101,21 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut [T], &mut U) + Sync,
 {
-    use std::time::Instant;
-
-    let rows = aux.len();
-    assert_eq!(
-        data.len(),
-        rows.checked_mul(width).expect("rows × width overflows"),
-        "data must hold rows × width items"
-    );
-    let threads = threads.max(1);
-    if threads == 1 || rows < parallel_threshold() {
-        let start = Instant::now();
-        let mut state = init();
-        let mut rest: &mut [T] = data;
-        for (i, slot) in aux.iter_mut().enumerate() {
-            let (row, tail) = rest.split_at_mut(width);
-            rest = tail;
-            f(&mut state, i, row, slot);
-        }
-        return if rows == 0 {
-            Vec::new()
-        } else {
-            vec![ChunkTiming {
-                chunk: 0,
-                len: rows as u64,
-                wall_ns: start.elapsed().as_nanos() as u64,
-            }]
-        };
-    }
-
-    let ranges = chunk_ranges(rows, threads, ChunkPolicy::PerWorker);
-    let mut pieces: Vec<(usize, &mut [T], &mut [U])> = Vec::with_capacity(ranges.len());
-    let mut data_rest = data;
-    let mut aux_rest = aux;
-    let mut offset = 0;
-    for r in &ranges {
-        let (data_head, data_tail) = data_rest.split_at_mut(r.len() * width);
-        let (aux_head, aux_tail) = aux_rest.split_at_mut(r.len());
-        pieces.push((offset, data_head, aux_head));
-        data_rest = data_tail;
-        aux_rest = aux_tail;
-        offset += r.len();
-    }
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = pieces
-            .into_iter()
-            .enumerate()
-            .map(|(chunk, (base, data_piece, aux_piece))| {
-                let f = &f;
-                let init = &init;
-                scope.spawn(move |_| {
-                    let start = Instant::now();
-                    let mut state = init();
-                    let n = aux_piece.len();
-                    let mut rest: &mut [T] = data_piece;
-                    for (k, slot) in aux_piece.iter_mut().enumerate() {
-                        let (row, tail) = rest.split_at_mut(width);
-                        rest = tail;
-                        f(&mut state, base + k, row, slot);
-                    }
-                    ChunkTiming {
-                        chunk: chunk as u64,
-                        len: n as u64,
-                        wall_ns: start.elapsed().as_nanos() as u64,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed")
+    parallel_fill_rows_chunked(
+        data,
+        aux,
+        width,
+        threads,
+        init,
+        |state, base, chunk_data, chunk_aux| {
+            let mut rest: &mut [T] = chunk_data;
+            for (k, slot) in chunk_aux.iter_mut().enumerate() {
+                let (row, tail) = rest.split_at_mut(width);
+                rest = tail;
+                f(state, base + k, row, slot);
+            }
+        },
+    )
 }
 
 /// Like [`parallel_fill_rows`], but hands each worker its **whole
@@ -286,8 +128,7 @@ where
 /// Chunk boundaries follow [`crate::chunk::chunk_ranges`] with
 /// `ChunkPolicy::PerWorker`, and the inline fast path (`threads <= 1`
 /// or fewer rows than [`parallel_threshold`]) passes the entire buffer
-/// as one chunk — identical to [`parallel_fill_rows`], so a caller
-/// whose `f` is row-order-deterministic gets the same results here.
+/// as one chunk and reports one timing covering it.
 pub fn parallel_fill_rows_chunked<T, U, S, I, F>(
     data: &mut [T],
     aux: &mut [U],
@@ -365,51 +206,6 @@ where
             .collect()
     })
     .expect("scope failed")
-}
-
-/// Parallel reduction: map each index through `f`, then fold results with
-/// the associative `combine`, starting from `identity`.
-///
-/// `combine` must be associative and `identity` its neutral element;
-/// the grouping of operands across chunks is unspecified.
-pub fn parallel_reduce<T, F, C>(len: usize, threads: usize, identity: T, f: F, combine: C) -> T
-where
-    T: Send + Clone,
-    F: Fn(usize) -> T + Sync,
-    C: Fn(T, T) -> T + Send + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 || len < parallel_threshold() {
-        let mut acc = identity;
-        for i in 0..len {
-            acc = combine(acc, f(i));
-        }
-        return acc;
-    }
-    let ranges = chunk_ranges(len, threads, ChunkPolicy::PerWorker);
-    let partials: Vec<T> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let f = &f;
-                let combine = &combine;
-                let id = identity.clone();
-                scope.spawn(move |_| {
-                    let mut acc = id;
-                    for i in r {
-                        acc = combine(acc, f(i));
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed");
-    partials.into_iter().fold(identity, combine)
 }
 
 /// Below this many items the fork/join overhead outweighs the win and the
@@ -591,29 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_matches_sequential_sum() {
-        for threads in [1, 3, 8] {
-            let got = parallel_reduce(10_000, threads, 0u64, |i| i as u64, |a, b| a + b);
-            assert_eq!(got, (0..10_000u64).sum::<u64>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn reduce_with_min() {
-        let data: Vec<i64> = (0..5000)
-            .map(|i| ((i * 7919) % 4999) as i64 - 2500)
-            .collect();
-        let got = parallel_reduce(data.len(), 4, i64::MAX, |i| data[i], i64::min);
-        assert_eq!(got, *data.iter().min().unwrap());
-    }
-
-    #[test]
-    fn reduce_empty_returns_identity() {
-        let got = parallel_reduce(0, 4, 42i32, |_| 0, |a, b| a + b);
-        assert_eq!(got, 42);
-    }
-
-    #[test]
     fn small_input_runs_inline() {
         // Can't observe threads directly, but results must still be right
         // below the threshold.
@@ -626,31 +399,5 @@ mod tests {
     fn zero_threads_clamped() {
         let got = parallel_map(100, 0, |i| i);
         assert_eq!(got.len(), 100);
-    }
-
-    #[test]
-    fn timed_map_matches_sequential_and_covers_len() {
-        for threads in [1, 4] {
-            for len in [0, 10, 64, 1000] {
-                let (got, timings) = parallel_map_timed(len, threads, |i| i * 3);
-                let want: Vec<usize> = (0..len).map(|i| i * 3).collect();
-                assert_eq!(got, want, "threads={threads} len={len}");
-                let covered: u64 = timings.iter().map(|t| t.len).sum();
-                assert_eq!(covered, len as u64, "timings must cover all items");
-                if len == 0 {
-                    assert!(timings.is_empty());
-                }
-                // Chunk indices are dense from zero.
-                for (i, t) in timings.iter().enumerate() {
-                    assert_eq!(t.chunk, i as u64);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn timed_map_spawns_multiple_chunks_for_large_input() {
-        let (_, timings) = parallel_map_timed(1000, 4, |i| i);
-        assert!(timings.len() > 1, "expected parallel dispatch");
     }
 }

@@ -3,7 +3,6 @@
 
 use match_par::*;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -12,20 +11,6 @@ proptest! {
     fn map_equals_sequential(len in 0usize..2000, threads in 0usize..12, mul in 1u64..1000) {
         let got = parallel_map(len, threads, |i| i as u64 * mul);
         let want: Vec<u64> = (0..len as u64).map(|i| i * mul).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn reduce_equals_sequential_sum(len in 0usize..5000, threads in 1usize..12) {
-        let got = parallel_reduce(len, threads, 0u64, |i| i as u64, |a, b| a + b);
-        prop_assert_eq!(got, (0..len as u64).sum::<u64>());
-    }
-
-    #[test]
-    fn reduce_min_matches(data in proptest::collection::vec(-1000i64..1000, 0..800),
-                          threads in 1usize..8) {
-        let got = parallel_reduce(data.len(), threads, i64::MAX, |i| data[i], i64::min);
-        let want = data.iter().copied().min().unwrap_or(i64::MAX);
         prop_assert_eq!(got, want);
     }
 
@@ -41,13 +26,5 @@ proptest! {
             }
             prop_assert_eq!(next, len);
         }
-    }
-
-    #[test]
-    fn pool_map_equals_sequential(len in 0usize..300, threads in 1usize..6) {
-        let pool = WorkerPool::new(threads);
-        let got = pool.map(len, Arc::new(|i| i * 7));
-        let want: Vec<usize> = (0..len).map(|i| i * 7).collect();
-        prop_assert_eq!(got, want);
     }
 }

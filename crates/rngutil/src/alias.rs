@@ -1,7 +1,7 @@
 //! Vose's alias method: O(1) sampling from a fixed discrete distribution
 //! after O(n) preprocessing.
 //!
-//! The roulette wheel costs O(log n) per spin; when one distribution is
+//! A cumulative roulette wheel costs O(log n) per spin; when one distribution is
 //! sampled very many times (e.g. drawing the GA's mating pool from a
 //! fitness vector, GenPerm drawing a whole CE batch from one frozen
 //! stochastic matrix, or workload generators drawing thousands of

@@ -9,12 +9,11 @@
 //! * [`seed`] — SplitMix64-based derivation of independent sub-seeds from
 //!   a single experiment master seed (one per graph instance, per run,
 //!   per worker thread).
-//! * [`roulette`] — fitness-proportional ("roulette wheel") selection,
-//!   the selection operator of both FastMap-GA (§5.1) and the smoothed
-//!   sampling MaTCH uses inside GenPerm (§5.2).
+//! * [`roulette`] — one-shot fitness-proportional ("roulette wheel")
+//!   picks, the restricted roulette MaTCH uses inside GenPerm (§5.2).
 //! * [`alias`] — Vose's alias method for O(1) repeated draws from a fixed
-//!   discrete distribution (used where one distribution is sampled many
-//!   times, e.g. task-ordering biases in the harness).
+//!   discrete distribution: GenPerm's per-row tables and FastMap-GA's
+//!   roulette parent selection (§5.1).
 //! * [`index`] — multiply-shift uniform indices, the one-`u64` draw
 //!   behind the alias table and GenPerm's batched visit order.
 //! * [`perm`] — uniform random permutations (Fisher–Yates), the random
@@ -32,5 +31,5 @@ pub mod seed;
 pub use alias::AliasTable;
 pub use index::uniform_index;
 pub use perm::{random_permutation, shuffle};
-pub use roulette::{roulette_pick, RouletteWheel};
+pub use roulette::roulette_pick;
 pub use seed::{derive_seed, derive_seed_str, rng_from, SeedSequence, SplitMix64};

@@ -1,11 +1,10 @@
 //! Roulette-wheel (fitness-proportional) selection.
 //!
-//! FastMap-GA selects parents "by the roulette wheel selection strategy,
-//! where the probability of a parent being selected depends directly on
-//! its fitness" (§5.1), and MaTCH's GenPerm allocates each task to a
-//! resource with probability proportional to the task's row of the
-//! stochastic matrix (§5.2 likens this to the same wheel). Both call into
-//! this module.
+//! MaTCH's GenPerm allocates each task to a resource with probability
+//! proportional to the task's row of the stochastic matrix (§5.2 likens
+//! this to FastMap-GA's roulette-wheel parent selection, which draws
+//! from an [`AliasTable`](crate::AliasTable) instead: one fitness vector,
+//! many spins).
 
 use rand::Rng;
 
@@ -42,54 +41,6 @@ pub fn roulette_pick<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> Option<us
     last_positive
 }
 
-/// A precomputed cumulative wheel for repeated O(log n) picks from the
-/// same weight vector — the GA spins the wheel `population` times per
-/// generation over one fixed fitness vector.
-#[derive(Debug, Clone)]
-pub struct RouletteWheel {
-    cumulative: Vec<f64>,
-}
-
-impl RouletteWheel {
-    /// Build a wheel; returns `None` when no weight is positive.
-    ///
-    /// Negative or non-finite weights are clamped to zero, mirroring
-    /// [`roulette_pick`].
-    pub fn new(weights: &[f64]) -> Option<Self> {
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            if w.is_finite() && w > 0.0 {
-                acc += w;
-            }
-            cumulative.push(acc);
-        }
-        if acc <= 0.0 {
-            return None;
-        }
-        Some(RouletteWheel { cumulative })
-    }
-
-    /// Number of slots on the wheel.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// True when the wheel has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
-    /// Spin the wheel once.
-    pub fn spin<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let total = *self.cumulative.last().expect("non-empty by construction");
-        let target = rng.random::<f64>() * total;
-        // partition_point: first index whose cumulative value exceeds target.
-        let idx = self.cumulative.partition_point(|&c| c <= target);
-        idx.min(self.cumulative.len() - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,8 +52,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(roulette_pick(&[], &mut rng), None);
         assert_eq!(roulette_pick(&[0.0, 0.0], &mut rng), None);
-        assert!(RouletteWheel::new(&[]).is_none());
-        assert!(RouletteWheel::new(&[0.0, -1.0]).is_none());
     }
 
     #[test]
@@ -133,45 +82,11 @@ mod tests {
     }
 
     #[test]
-    fn wheel_matches_one_shot_distribution() {
-        let weights = [5.0, 0.0, 1.0, 4.0];
-        let wheel = RouletteWheel::new(&weights).unwrap();
-        assert_eq!(wheel.len(), 4);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut counts = [0usize; 4];
-        let n = 100_000;
-        for _ in 0..n {
-            counts[wheel.spin(&mut rng)] += 1;
-        }
-        assert_eq!(counts[1], 0, "zero-weight slot must never be picked");
-        for (i, &c) in counts.iter().enumerate() {
-            let expected = weights[i] / 10.0;
-            let got = c as f64 / n as f64;
-            assert!(
-                (got - expected).abs() < 0.01,
-                "slot {i}: got {got}, want {expected}"
-            );
-        }
-    }
-
-    #[test]
     fn negative_and_nan_weights_ignored() {
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..100 {
             let pick = roulette_pick(&[-5.0, f64::NAN, 2.0, f64::INFINITY], &mut rng);
             assert_eq!(pick, Some(2));
-        }
-    }
-
-    #[test]
-    fn wheel_spin_always_in_range() {
-        let wheel = RouletteWheel::new(&[0.1, 0.0, 0.0, 0.9]).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..10_000 {
-            let i = wheel.spin(&mut rng);
-            assert!(i < 4);
-            assert_ne!(i, 1);
-            assert_ne!(i, 2);
         }
     }
 }

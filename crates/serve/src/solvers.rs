@@ -9,9 +9,7 @@ use match_baselines::{
     FastMapScheme, GreedyMapper, HillClimber, PolishedMatcher, RandomSearch, RecursiveBisection,
     RoundRobin, SimulatedAnnealing,
 };
-use match_core::{
-    EvalBackend, IslandMatcher, Mapper, MatchConfig, Matcher, MultilevelConfig, SamplerMode,
-};
+use match_core::{EvalBackend, IslandMatcher, Mapper, MatchConfig, Matcher, MultilevelConfig};
 use match_ga::{FastMapGa, GaConfig};
 use match_multilevel::MultilevelMapper;
 
@@ -19,13 +17,11 @@ use match_multilevel::MultilevelMapper;
 pub const KNOWN_ALGOS: &[&str] = &[
     "match",
     "match-batched",
-    "match-sequential",
     "islands",
     "multilevel",
     "ga",
     "fastmap-ga",
     "ga-batched",
-    "ga-sequential",
     "greedy",
     "hill",
     "hillclimb",
@@ -49,19 +45,8 @@ pub fn build_mapper(name: &str) -> Option<Box<dyn Mapper>> {
 /// ignore it. `None` for an unknown name.
 pub fn build_mapper_with(name: &str, backend: EvalBackend) -> Option<Box<dyn Mapper>> {
     Some(match name {
-        // `match` resolves the sampler by thread count (`SamplerMode::Auto`);
-        // the suffixed names pin one pipeline for A/B runs through the daemon.
-        "match" => Box::new(Matcher::new(MatchConfig {
-            backend,
-            ..MatchConfig::default()
-        })),
-        "match-batched" => Box::new(Matcher::new(MatchConfig {
-            sampler: SamplerMode::Batched,
-            backend,
-            ..MatchConfig::default()
-        })),
-        "match-sequential" => Box::new(Matcher::new(MatchConfig {
-            sampler: SamplerMode::Sequential,
+        // `match-batched` is a second name for the one CE pipeline.
+        "match" | "match-batched" => Box::new(Matcher::new(MatchConfig {
             backend,
             ..MatchConfig::default()
         })),
@@ -73,9 +58,8 @@ pub fn build_mapper_with(name: &str, backend: EvalBackend) -> Option<Box<dyn Map
             backend,
             ..MultilevelConfig::default()
         })),
-        // Plain `ga` keeps the library default (sequential, historical
-        // stream); the suffixed names pin one generation pipeline for
-        // A/B runs through the daemon, like the match-* pair above.
+        // Plain `ga` keeps the library default of one solver thread;
+        // `ga-batched` runs the same loop on every core.
         "ga" | "fastmap-ga" => Box::new(FastMapGa::new(GaConfig {
             backend,
             ..GaConfig::paper_default()
@@ -83,11 +67,6 @@ pub fn build_mapper_with(name: &str, backend: EvalBackend) -> Option<Box<dyn Map
         "ga-batched" => Box::new(FastMapGa::new(GaConfig {
             backend,
             ..GaConfig::batched_paper()
-        })),
-        "ga-sequential" => Box::new(FastMapGa::new(GaConfig {
-            sampler: SamplerMode::Sequential,
-            backend,
-            ..GaConfig::paper_default()
         })),
         "greedy" => Box::new(GreedyMapper),
         "hill" | "hillclimb" => Box::new(HillClimber::default()),
@@ -106,7 +85,7 @@ pub fn build_mapper_with(name: &str, backend: EvalBackend) -> Option<Box<dyn Map
 /// The solvers that run the CE permutation pipeline and can be
 /// warm-started from a stored stochastic matrix.
 pub fn ce_family(name: &str) -> bool {
-    matches!(name, "match" | "match-batched" | "match-sequential")
+    matches!(name, "match" | "match-batched")
 }
 
 /// The [`MatchConfig`] behind a CE-family algo name, with the
@@ -118,14 +97,10 @@ pub fn match_config_for(
     backend: EvalBackend,
     threads: Option<usize>,
 ) -> Option<MatchConfig> {
-    let sampler = match name {
-        "match" => SamplerMode::Auto,
-        "match-batched" => SamplerMode::Batched,
-        "match-sequential" => SamplerMode::Sequential,
-        _ => return None,
-    };
+    if !ce_family(name) {
+        return None;
+    }
     let mut cfg = MatchConfig {
-        sampler,
         backend,
         ..MatchConfig::default()
     };
@@ -145,12 +120,10 @@ pub fn requires_square(name: &str) -> bool {
         name,
         "match"
             | "match-batched"
-            | "match-sequential"
             | "islands"
             | "ga"
             | "fastmap-ga"
             | "ga-batched"
-            | "ga-sequential"
             | "polish"
             | "fastmap"
     )
@@ -181,6 +154,11 @@ mod tests {
     #[test]
     fn unknown_name_is_refused() {
         assert!(build_mapper("quantum-annealer").is_none());
+        // There is one CE and one GA pipeline; no name selects another.
+        for name in ["match-sequential", "ga-sequential"] {
+            assert!(build_mapper(name).is_none(), "{name}");
+            assert!(!KNOWN_ALGOS.contains(&name), "{name}");
+        }
     }
 
     #[test]
@@ -194,7 +172,6 @@ mod tests {
         }
         let cfg = match_config_for("match-batched", EvalBackend::Auto, Some(3)).unwrap();
         assert_eq!(cfg.threads, 3);
-        assert_eq!(cfg.sampler, SamplerMode::Batched);
         // threads = 0 is clamped, not passed through to validate().
         let cfg = match_config_for("match", EvalBackend::Auto, Some(0)).unwrap();
         assert_eq!(cfg.threads, 1);
@@ -212,7 +189,6 @@ mod tests {
         assert!(requires_square("match-batched"));
         assert!(requires_square("ga"));
         assert!(requires_square("ga-batched"));
-        assert!(requires_square("ga-sequential"));
         assert!(!requires_square("greedy"));
         assert!(!requires_square("sa"));
     }

@@ -20,8 +20,7 @@
 use crate::corpus::CorpusInstance;
 use crate::report::{CheckResult, Pillar};
 use match_core::{
-    exec_time, remap_incremental, MatchConfig, Matcher, RemapConfig, RemapStrategy, SamplerMode,
-    StopToken,
+    exec_time, remap_incremental, MatchConfig, Matcher, RemapConfig, RemapStrategy, StopToken,
 };
 use match_rngutil::rng_from;
 use match_telemetry::NullRecorder;
@@ -30,13 +29,12 @@ use match_telemetry::NullRecorder;
 /// `μ · migrated` is exact for every integer migration count.
 pub const ACCOUNTING_MU: f64 = 0.5;
 
-/// The CE configuration every dynamic check shares: single-threaded
-/// sequential sampling with a short iteration budget, so the cold
-/// trajectories being compared are cheap and platform-stable.
+/// The CE configuration every dynamic check shares: one solver thread
+/// and a short iteration budget, so the cold trajectories being
+/// compared are cheap and platform-stable.
 fn check_config() -> MatchConfig {
     MatchConfig {
         threads: 1,
-        sampler: SamplerMode::Sequential,
         max_iters: 30,
         ..MatchConfig::default()
     }

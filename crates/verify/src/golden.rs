@@ -11,9 +11,7 @@
 //! stream change, regenerate with `matchctl verify --update-golden`.
 
 use crate::report::{CheckResult, Pillar};
-use match_core::{
-    EvalBackend, Mapper, MappingInstance, MatchConfig, Matcher, MultilevelConfig, SamplerMode,
-};
+use match_core::{EvalBackend, Mapper, MappingInstance, MatchConfig, Matcher, MultilevelConfig};
 use match_ga::{FastMapGa, GaConfig};
 use match_graph::gen::paper::PaperFamilyConfig;
 use match_graph::gen::topology::{TopologyConfig, TopologyKind};
@@ -36,10 +34,8 @@ const FIXTURE_N: usize = 8;
 /// Which solver configuration a fixture pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Solver {
-    CeSequential,
-    CeBatched,
-    GaSequential,
-    GaBatched,
+    Ce,
+    Ga,
     Multilevel,
 }
 
@@ -62,29 +58,19 @@ pub struct FixtureSpec {
     family: Family,
 }
 
-/// The committed fixtures: both sampling pipelines of both iterative
-/// solver families and the multilevel driver's coarsen–solve–refine
-/// trajectory on the paper-family instance, plus the batched CE
-/// trajectory on each of the four topology-aware platforms.
-pub const FIXTURES: [FixtureSpec; 9] = [
-    FixtureSpec {
-        name: "ce-sequential-n8",
-        solver: Solver::CeSequential,
-        family: Family::Paper,
-    },
+/// The committed fixtures: the CE and GA pipelines and the multilevel
+/// driver's coarsen–solve–refine trajectory on the paper-family
+/// instance, plus the CE trajectory on each of the four topology-aware
+/// platforms.
+pub const FIXTURES: [FixtureSpec; 7] = [
     FixtureSpec {
         name: "ce-batched-n8",
-        solver: Solver::CeBatched,
-        family: Family::Paper,
-    },
-    FixtureSpec {
-        name: "ga-sequential-n8",
-        solver: Solver::GaSequential,
+        solver: Solver::Ce,
         family: Family::Paper,
     },
     FixtureSpec {
         name: "ga-batched-n8",
-        solver: Solver::GaBatched,
+        solver: Solver::Ga,
         family: Family::Paper,
     },
     FixtureSpec {
@@ -94,22 +80,22 @@ pub const FIXTURES: [FixtureSpec; 9] = [
     },
     FixtureSpec {
         name: "grid-n8",
-        solver: Solver::CeBatched,
+        solver: Solver::Ce,
         family: Family::Topology(TopologyKind::Grid),
     },
     FixtureSpec {
         name: "torus-n8",
-        solver: Solver::CeBatched,
+        solver: Solver::Ce,
         family: Family::Topology(TopologyKind::Torus),
     },
     FixtureSpec {
         name: "fattree-n8",
-        solver: Solver::CeBatched,
+        solver: Solver::Ce,
         family: Family::Topology(TopologyKind::FatTree),
     },
     FixtureSpec {
         name: "dragonfly-n8",
-        solver: Solver::CeBatched,
+        solver: Solver::Ce,
         family: Family::Topology(TopologyKind::Dragonfly),
     },
 ];
@@ -161,15 +147,9 @@ pub fn capture_with_backend(spec: &FixtureSpec, backend: EvalBackend) -> Traject
     let mut rng = rng_from(run_seed, 0);
     let mut recorder = MemoryRecorder::new();
     let (mapping, final_cost) = match spec.solver {
-        Solver::CeSequential | Solver::CeBatched => {
-            let sampler = if spec.solver == Solver::CeSequential {
-                SamplerMode::Sequential
-            } else {
-                SamplerMode::Batched
-            };
+        Solver::Ce => {
             let cfg = MatchConfig {
                 threads: 2,
-                sampler,
                 backend,
                 max_iters: 40,
                 ..MatchConfig::default()
@@ -177,17 +157,11 @@ pub fn capture_with_backend(spec: &FixtureSpec, backend: EvalBackend) -> Traject
             let out = Matcher::new(cfg).run_traced(&inst, &mut rng, &mut recorder);
             (out.mapping.as_slice().to_vec(), out.cost)
         }
-        Solver::GaSequential | Solver::GaBatched => {
-            let (sampler, threads) = if spec.solver == Solver::GaSequential {
-                (SamplerMode::Sequential, 1)
-            } else {
-                (SamplerMode::Batched, 2)
-            };
+        Solver::Ga => {
             let cfg = GaConfig {
                 population: 40,
                 generations: 25,
-                threads,
-                sampler,
+                threads: 2,
                 backend,
                 ..GaConfig::paper_default()
             };
@@ -515,7 +489,7 @@ mod tests {
         let dir = std::env::temp_dir().join("match-verify-golden-corrupt-test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("ce-sequential-n8.trace"), "garbage record\n").unwrap();
+        std::fs::write(dir.join("ce-batched-n8.trace"), "garbage record\n").unwrap();
         let checks = run_checks(&dir);
         assert!(checks.iter().all(|c| !c.passed));
         assert!(checks[0].details.contains("corrupt") || checks[0].details.contains("unknown"));

@@ -5,11 +5,11 @@
 //! three pillars of checks and renders a grouped report.
 //!
 //! 1. **Differential** ([`differential`]) — the same instance and seed
-//!    pushed through solver pairs whose documented relationship is then
-//!    asserted: Sequential-sampler bit-identity across thread counts,
-//!    Batched-pipeline thread invariance, batched-vs-sequential quality
-//!    parity, and agreement of every reported cost with an independent
-//!    Eq. 1/Eq. 2 re-derivation ([`oracle`]).
+//!    pushed through solver configurations whose documented
+//!    relationship is then asserted: CE and GA thread invariance,
+//!    quality within a band of the brute-force Eq. 2 optimum on small
+//!    instances, and agreement of every reported cost with an
+//!    independent Eq. 1/Eq. 2 re-derivation ([`oracle`]).
 //! 2. **Metamorphic** ([`metamorphic`]) — instance transformations with
 //!    provable cost effects: task/resource relabeling preserves cost,
 //!    uniform λ-scaling scales it exactly, zero-weight edges are inert

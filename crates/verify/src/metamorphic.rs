@@ -9,7 +9,7 @@
 
 use crate::corpus::CorpusInstance;
 use crate::report::{CheckResult, Pillar};
-use match_core::{exec_time, MappingInstance, MatchConfig, Matcher, SamplerMode};
+use match_core::{exec_time, MappingInstance, MatchConfig, Matcher};
 use match_ga::{FastMapGa, GaConfig};
 use match_graph::{Graph, ResourceGraph, TaskGraph};
 use match_rngutil::{random_permutation, rng_from};
@@ -171,7 +171,6 @@ fn scale_weights(corpus: &[CorpusInstance]) -> CheckResult {
         if c.is_square() {
             let cfg = MatchConfig {
                 threads: 1,
-                sampler: SamplerMode::Sequential,
                 max_iters: 40,
                 gamma_tol: 0.0,
                 ..MatchConfig::default()
@@ -241,7 +240,6 @@ fn zero_weight_edges(corpus: &[CorpusInstance]) -> CheckResult {
             // Whole-trajectory bit-identity for both solver families.
             let cfg = MatchConfig {
                 threads: 1,
-                sampler: SamplerMode::Sequential,
                 max_iters: 40,
                 ..MatchConfig::default()
             };
@@ -261,7 +259,6 @@ fn zero_weight_edges(corpus: &[CorpusInstance]) -> CheckResult {
                 population: 32,
                 generations: 20,
                 threads: 1,
-                sampler: SamplerMode::Sequential,
                 ..GaConfig::paper_default()
             };
             let ga = FastMapGa::new(cfg);

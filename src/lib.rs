@@ -59,7 +59,7 @@ pub mod prelude {
     pub use match_baselines::{GreedyMapper, HillClimber, RandomSearch, SimulatedAnnealing};
     pub use match_core::{
         CostModel, IslandConfig, IslandMatcher, Mapper, MapperOutcome, Mapping, MappingInstance,
-        MatchConfig, Matcher, SamplerMode,
+        MatchConfig, Matcher,
     };
     pub use match_ga::{FastMapGa, GaConfig};
     pub use match_graph::{gen::InstanceGenerator, Graph, ResourceGraph, TaskGraph};

@@ -48,40 +48,16 @@ fn all_mappers_are_seed_deterministic() {
 
 #[test]
 fn matcher_thread_count_does_not_change_results() {
-    // Sequential sampling mode: parallel evaluation must be
-    // bit-identical to sequential — sampling stays on the driver thread
-    // and evaluation is pure.
+    // Each sample draws from an RNG derived from a per-iteration seed,
+    // so the entire outcome — mapping, cost, iteration count,
+    // per-iteration telemetry — is bit-identical across thread counts,
+    // including threads = 1.
     let inst = instance(12, 4);
     let outs: Vec<_> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
             Matcher::new(MatchConfig {
                 threads,
-                sampler: SamplerMode::Sequential,
-                ..MatchConfig::default()
-            })
-            .run(&inst, &mut StdRng::seed_from_u64(5))
-        })
-        .collect();
-    assert_eq!(outs[0].mapping, outs[1].mapping);
-    assert_eq!(outs[1].mapping, outs[2].mapping);
-    assert_eq!(outs[0].cost, outs[2].cost);
-    assert_eq!(outs[0].iterations, outs[2].iterations);
-}
-
-#[test]
-fn batched_matcher_thread_count_does_not_change_results() {
-    // Batched (fused sample+evaluate) mode: each sample draws from an
-    // RNG derived from a per-iteration seed, so the entire outcome —
-    // mapping, cost, iteration count, per-iteration telemetry — is
-    // bit-identical across thread counts, including threads = 1.
-    let inst = instance(12, 4);
-    let outs: Vec<_> = [1usize, 2, 8]
-        .iter()
-        .map(|&threads| {
-            Matcher::new(MatchConfig {
-                threads,
-                sampler: SamplerMode::Batched,
                 ..MatchConfig::default()
             })
             .run(&inst, &mut StdRng::seed_from_u64(5))
@@ -94,6 +70,37 @@ fn batched_matcher_thread_count_does_not_change_results() {
     assert_eq!(outs[0].telemetry.iters, outs[1].telemetry.iters);
     assert_eq!(outs[1].telemetry.iters, outs[2].telemetry.iters);
     assert!(outs[0].mapping.is_permutation());
+}
+
+#[test]
+fn tracing_does_not_change_results() {
+    // Recording draws nothing from a solver's RNG stream, so a traced
+    // run of the same seed returns the untraced run's mapping, cost and
+    // evaluation count.
+    use match_telemetry::{MemoryRecorder, NullRecorder, Recorder};
+    let inst = instance(10, 8);
+    let matcher = Matcher::new(MatchConfig {
+        threads: 2,
+        ..MatchConfig::default()
+    });
+    let ga = FastMapGa::new(GaConfig {
+        population: 40,
+        generations: 30,
+        ..GaConfig::paper_default()
+    });
+    let mappers: Vec<&dyn Mapper> = vec![&matcher, &ga];
+    for m in mappers {
+        let run = |recorder: &mut dyn Recorder| {
+            m.map_traced(&inst, &mut StdRng::seed_from_u64(9), recorder)
+        };
+        let plain = run(&mut NullRecorder);
+        let mut memory = MemoryRecorder::new();
+        let traced = run(&mut memory);
+        assert!(!memory.events().is_empty(), "{} recorded nothing", m.name());
+        assert_eq!(plain.mapping, traced.mapping, "{}", m.name());
+        assert_eq!(plain.cost.to_bits(), traced.cost.to_bits(), "{}", m.name());
+        assert_eq!(plain.evaluations, traced.evaluations, "{}", m.name());
+    }
 }
 
 #[test]

@@ -59,7 +59,7 @@ fn tampered_fixture_is_caught_and_named() {
     assert!(verify::run_verify(&opts).passed());
 
     // Flip the final cost of one committed trajectory.
-    let victim = dir.join("ce-sequential-n8.trace");
+    let victim = dir.join("ce-batched-n8.trace");
     let text = std::fs::read_to_string(&victim).expect("read fixture");
     let tampered: Vec<String> = text
         .lines()
@@ -80,7 +80,7 @@ fn tampered_fixture_is_caught_and_named() {
     assert!(!report.passed(), "tampered fixture must fail");
     let rendered = report.render();
     assert!(
-        rendered.contains("ce-sequential-n8"),
+        rendered.contains("ce-batched-n8"),
         "failure must name the fixture:\n{rendered}"
     );
     assert!(
