@@ -11,8 +11,8 @@
 //! Recency is tracked with a monotonic stamp per entry; eviction scans
 //! for the minimum stamp. That is O(capacity) per eviction, which is
 //! irrelevant at daemon cache sizes (hundreds of entries, microseconds
-//! per scan) and keeps the structure a plain `HashMap` — no unsafe
-//! linked lists in a `#![forbid(unsafe_code)]` workspace.
+//! per scan) and keeps the structure a plain `HashMap` — no intrusive
+//! linked list and no raw pointers.
 
 use std::collections::HashMap;
 

@@ -14,11 +14,18 @@ use std::time::Duration;
 
 use match_metrics::Metrics;
 
+use crate::sys::{self, PollFd, POLLIN};
+
 /// Content type mandated by the Prometheus text exposition format.
 const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
+/// Longest wait for a scrape before `stop()` is checked again; this
+/// bounds how long shutdown waits for the scrape thread.
+const STOP_POLL: Duration = Duration::from_millis(10);
+
 /// Serve scrapes until `stop()` returns true. The listener must already
-/// be bound; it is switched to non-blocking so the loop can poll.
+/// be bound; it is switched to non-blocking, and the loop waits on its
+/// readiness, so a scrape is accepted as soon as it connects.
 pub(crate) fn serve_scrapes(listener: TcpListener, metrics: Metrics, stop: impl Fn() -> bool) {
     if listener.set_nonblocking(true).is_err() {
         return;
@@ -30,7 +37,9 @@ pub(crate) fn serve_scrapes(listener: TcpListener, metrics: Metrics, stop: impl 
         match listener.accept() {
             Ok((stream, _)) => handle_scrape(stream, &metrics),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
+                if sys::poll(&mut [PollFd::new(&listener, POLLIN)], Some(STOP_POLL)).is_err() {
+                    thread::sleep(STOP_POLL);
+                }
             }
             Err(_) => break,
         }

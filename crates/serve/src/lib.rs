@@ -11,7 +11,8 @@
 //!
 //! The crate follows the workspace's zero-external-dependency
 //! discipline: `std::net` sockets, `std::sync` primitives, and
-//! hand-rolled JSON framing in the style of `match-telemetry`.
+//! hand-rolled JSON framing in the style of `match-telemetry`. Its one
+//! foreign call, `poll(2)`, lives in the private `sys` module.
 //!
 //! ```no_run
 //! use match_serve::{Client, Request, Server, ServeConfig, SolveRequest};
@@ -35,7 +36,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -49,6 +50,8 @@ pub mod router;
 pub mod server;
 pub mod shard;
 pub mod solvers;
+#[allow(unsafe_code)]
+mod sys;
 
 pub use cache::{CachedResult, LruCache};
 pub use client::Client;

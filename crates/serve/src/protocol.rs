@@ -421,6 +421,7 @@ enum Val {
 }
 
 struct Scanner<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -428,6 +429,7 @@ struct Scanner<'a> {
 impl<'a> Scanner<'a> {
     fn new(s: &'a str) -> Self {
         Scanner {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -478,60 +480,56 @@ impl<'a> Scanner<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the unescaped run up to the next `"` or `\` with one
+            // `push_str`. The run starts after an ASCII byte and ends
+            // before one, so it is whole characters of the `&str` input.
+            let Some(run) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            let end = self.pos + run;
+            out.push_str(
+                self.src
+                    .get(self.pos..end)
+                    .ok_or_else(|| self.err("invalid utf-8"))?,
+            );
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
                 .bytes
                 .get(self.pos)
-                .ok_or_else(|| self.err("unterminated string"))?;
+                .ok_or_else(|| self.err("unterminated escape"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
                         .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("non-utf8 \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    self.pos += 4;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| self.err("non-utf8 \\u escape"))?,
+                        16,
+                    )
+                    .map_err(|_| self.err("bad \\u escape"))?;
+                    out.push(
+                        char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))?,
+                    );
                 }
-                _ => {
-                    // Re-sync to char boundary for multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }

@@ -4,24 +4,29 @@
 //! ## Thread structure
 //!
 //! ```text
-//!   I/O threads (few) ── poll every client socket ──► parse line → admit job
-//!     │      ▲                                             │
-//!     │      └── per-connection mpsc ◄── responses ────────┤
-//!     │                                                    ▼
+//!   I/O threads (few) ── poll(2) on sockets + doorbell ──► parse line → admit
+//!     │      ▲                                       cache hit? ─┤── reply now
+//!     │      └── per-connection mpsc ◄── responses ──────────────┤
+//!     │          (each send rings the doorbell)                  ▼
 //!     │                                  bounded JobQueue (admission control)
-//!     │                                                    │
-//!     └── thread 0 also accepts            worker pool (N threads)
-//!                                            pop → solve → reply
+//!     │                                                          │
+//!     └── thread 0 also accepts                  worker pool (N threads)
+//!                                                  pop → solve → reply
 //! ```
 //!
 //! Admission happens on an I/O thread: parse the instance, validate the
-//! algorithm, then [`JobQueue::try_push`]. A full queue is answered
-//! immediately with the protocol's `rejected` backpressure response —
-//! the connection never blocks on a busy solver pool. Responses travel
-//! back through a per-connection mpsc channel drained by the owning I/O
-//! thread, so a worker finishing job 3 can reply before job 1 is done
-//! (clients match on `id`). Thousands of idle connections cost buffer
-//! space, not parked threads — see [`crate::io`].
+//! algorithm, hash it, and probe the result cache. A `solve` whose key
+//! is cached is answered right there, with `queue_wait_ns = 0`: it takes
+//! no queue slot and never waits behind solver work. Everything else
+//! goes to [`JobQueue::try_push`]. A full queue is answered immediately
+//! with the protocol's `rejected` backpressure response — the
+//! connection never blocks on a busy solver pool. Workers probe the
+//! cache again, which catches a duplicate admitted while its first copy
+//! was still queued. Responses travel back through a per-connection
+//! mpsc channel drained by the owning I/O thread, so a worker finishing
+//! job 3 can reply before job 1 is done (clients match on `id`).
+//! Thousands of idle connections cost buffer space, not parked threads
+//! — see [`crate::io`].
 //!
 //! ## Warm starts
 //!
@@ -91,7 +96,7 @@ use match_warmstore::{WarmEntry, WarmStore};
 use crate::cache::{CachedResult, LruCache};
 use crate::hash::{job_key, structure_hash};
 use crate::http;
-use crate::io::{self as serve_io, ReplyTx};
+use crate::io::{Dispatch, IoPool, ReplyTx};
 use crate::protocol::{
     parse_request, RemapRequest, Request, Response, SolveRequest, SolveResponse, StatsResponse,
 };
@@ -191,9 +196,6 @@ struct Job {
     backend: EvalBackend,
     inst: MappingInstance,
     key: u64,
-    /// Structure hash for the warm store — `Some` only for CE-family
-    /// solves on square instances with warm starts enabled.
-    skey: Option<u64>,
     /// `Some` for `remap` requests: the prior mapping to warm-start from
     /// and the migration weight. Remap jobs bypass the result cache —
     /// the cache key does not cover the prior.
@@ -254,8 +256,8 @@ struct Counters {
 /// Handles into the live [`Metrics`] registry, resolved once at
 /// startup so the request path never takes the registration lock.
 /// Per-algorithm latency histograms are the exception: they are keyed
-/// by request content, so workers resolve them per job (one short
-/// mutex hold against a full solve).
+/// by request content, so each answer resolves its own (one short
+/// mutex hold).
 struct ServeMetrics {
     req_solve: Counter,
     req_remap: Counter,
@@ -414,6 +416,14 @@ impl Server {
             drain_flag: StopFlag::new(),
         });
 
+        // The I/O pool first: it is the step that can fail, and nothing
+        // is running yet that would then be left behind.
+        let dispatch: Dispatch = {
+            let ctx = Arc::clone(&ctx);
+            Arc::new(move |line, tx| handle_request_line(line, &ctx, tx))
+        };
+        let io = IoPool::spawn(listener, config.io_threads, dispatch)?;
+
         let scrape_thread = metrics_listener.map(|listener| {
             let metrics = ctx.metrics.clone();
             let ctx = Arc::clone(&ctx);
@@ -438,18 +448,6 @@ impl Server {
             })
             .collect();
 
-        let io_exit = Arc::new(AtomicBool::new(false));
-        let dispatch: serve_io::Dispatch = {
-            let ctx = Arc::clone(&ctx);
-            Arc::new(move |line, tx| handle_request_line(line, &ctx, tx))
-        };
-        let io_threads = serve_io::spawn(
-            listener,
-            config.io_threads.max(1),
-            Arc::clone(&io_exit),
-            dispatch,
-        );
-
         Ok(ServerHandle {
             ctx,
             local_addr,
@@ -457,8 +455,7 @@ impl Server {
             started: Instant::now(),
             drain_deadline: config.drain_deadline,
             worker_handles,
-            io_threads,
-            io_exit,
+            io: Some(io),
             scrape_thread,
         })
     }
@@ -472,8 +469,7 @@ pub struct ServerHandle {
     started: Instant,
     drain_deadline: Option<Duration>,
     worker_handles: Vec<JoinHandle<()>>,
-    io_threads: Vec<JoinHandle<()>>,
-    io_exit: Arc<AtomicBool>,
+    io: Option<IoPool>,
     scrape_thread: Option<JoinHandle<()>>,
 }
 
@@ -552,9 +548,8 @@ impl ServerHandle {
         }
         // All responses are now sitting in per-connection channels; the
         // I/O threads flush them on their way out.
-        self.io_exit.store(true, Ordering::SeqCst);
-        for handle in self.io_threads.drain(..) {
-            let _ = handle.join();
+        if let Some(io) = self.io.take() {
+            io.stop();
         }
         if let Some(scrape) = self.scrape_thread.take() {
             let _ = scrape.join();
@@ -622,8 +617,8 @@ fn handle_request_line(line: &str, ctx: &Arc<Ctx>, tx: &ReplyTx) {
     }
 }
 
-/// Validate a solve or remap request and push it through admission
-/// control.
+/// Validate a solve or remap request, answer it from the result cache
+/// when it can, and push it through admission control otherwise.
 fn admit(req: SolveRequest, remap: Option<RemapParams>, ctx: &Ctx, tx: &ReplyTx) {
     let reject = |error: String| {
         tx.send(Response::Error {
@@ -685,12 +680,6 @@ fn admit(req: SolveRequest, remap: Option<RemapParams>, ctx: &Ctx, tx: &ReplyTx)
         }
     }
     let key = job_key(&inst, &req.algo, req.seed);
-    // Remap jobs warm-start from the request's prior, not the store.
-    let skey = (remap.is_none()
-        && ctx.warm.is_some()
-        && solvers::ce_family(&req.algo)
-        && inst.is_square())
-    .then(|| structure_hash(&inst));
     let job = Job {
         seq: ctx.seq.fetch_add(1, Ordering::Relaxed),
         id: req.id.clone(),
@@ -700,11 +689,20 @@ fn admit(req: SolveRequest, remap: Option<RemapParams>, ctx: &Ctx, tx: &ReplyTx)
         backend,
         inst,
         key,
-        skey,
         remap,
         enqueued: Instant::now(),
         resp: tx.clone(),
     };
+    // A cached solve is answered here, without a queue slot. Remaps
+    // never are (the key does not cover the prior), and once shutdown
+    // starts every request gets the same "shutting down" answer.
+    if job.remap.is_none() && !ctx.shutdown.load(Ordering::SeqCst) {
+        let probe = Instant::now();
+        let hit = ctx.cache.lock().expect("cache poisoned").get(key);
+        if let Some(hit) = hit {
+            return answer_hit(job, hit, 0, probe, ctx);
+        }
+    }
     match ctx.queue.try_push(job) {
         Ok(depth) => {
             ctx.sm.queue_depth.set(depth as i64);
@@ -748,52 +746,23 @@ fn process_job(job: Job, ctx: &Ctx) {
     }
     let queue_wait_ns = job.enqueued.elapsed().as_nanos() as u64;
     let solve_start = Instant::now();
-    let trace_id = format!("{}#{}", job.id, job.seq);
+
+    // Probe again: a duplicate admitted while its first copy was still
+    // queued finds the result here.
+    let hit = ctx.cache.lock().expect("cache poisoned").get(job.key);
+    if let Some(hit) = hit {
+        return answer_hit(job, hit, queue_wait_ns, solve_start, ctx);
+    }
     ctx.sm.queue_wait.record(queue_wait_ns);
+    let trace_id = format!("{}#{}", job.id, job.seq);
     let latency = ctx.metrics.histogram_with(
         "match_serve_solve_latency_ns",
         &[("algo", &job.algo), ("shard", &ctx.shard)],
     );
-
-    // Cache first: a hit answers in microseconds with a byte-identical
-    // mapping (every registered solver is deterministic in the seed).
-    let hit = ctx.cache.lock().expect("cache poisoned").get(job.key);
-    if let Some(hit) = hit {
-        let solve_ns = solve_start.elapsed().as_nanos() as u64;
-        ctx.counters.jobs.fetch_add(1, Ordering::Relaxed);
-        ctx.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-        ctx.sm.jobs.inc();
-        ctx.sm.cache_hits.inc();
-        latency.record(solve_ns);
-        record_job_events(
-            ctx,
-            &trace_id,
-            job.seq,
-            queue_wait_ns,
-            solve_ns,
-            hit.cost,
-            "cache_hit",
-        );
-        job.resp.send(Response::Solved(SolveResponse {
-            id: job.id,
-            trace_id,
-            algo: hit.algo,
-            seed: job.seed,
-            backend: job.backend.as_str().to_string(),
-            cost: hit.cost,
-            cached: true,
-            cancelled: false,
-            warm: false,
-            iterations_saved: 0,
-            evaluations: 0,
-            iterations: 0,
-            queue_wait_ns,
-            solve_ns,
-            migrated_tasks: 0,
-            mapping: hit.mapping,
-        }));
-        return;
-    }
+    // Structure hash for the warm store: CE-family solves on square
+    // instances, with warm starts enabled.
+    let skey = (ctx.warm.is_some() && solvers::ce_family(&job.algo) && job.inst.is_square())
+        .then(|| structure_hash(&job.inst));
 
     // Deadline and drain cancellation share one token: whichever fires
     // first stops the solve cooperatively.
@@ -812,7 +781,7 @@ fn process_job(job: Job, ctx: &Ctx) {
     let mut solver_metrics =
         MetricsRecorder::with_backend(&ctx.metrics, &job.algo, job.backend.as_str());
 
-    let solved: Result<Solved, String> = match (job.skey, &ctx.warm) {
+    let solved: Result<Solved, String> = match (skey, &ctx.warm) {
         (Some(skey), Some(store)) => {
             // Warm-start seam: CE-family solve through the Matcher's
             // warm API, seeded from the structure-keyed prior when one
@@ -991,6 +960,56 @@ fn process_job(job: Job, ctx: &Ctx) {
         solve_ns,
         migrated_tasks: 0,
         mapping: solved.mapping,
+    }));
+}
+
+/// Answer `job` from the result cache: a byte-identical mapping (every
+/// registered solver is deterministic in the seed) and no solver work.
+/// Counts a job and a hit, records its queue wait and latency, and
+/// traces its `cache_hit`. Runs at admission on an I/O thread
+/// (`queue_wait_ns = 0`) or on a worker for a duplicate that was queued
+/// before its first copy finished; `probe_start` is when the cache probe
+/// began.
+fn answer_hit(job: Job, hit: CachedResult, queue_wait_ns: u64, probe_start: Instant, ctx: &Ctx) {
+    let solve_ns = probe_start.elapsed().as_nanos() as u64;
+    let trace_id = format!("{}#{}", job.id, job.seq);
+    ctx.counters.jobs.fetch_add(1, Ordering::Relaxed);
+    ctx.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+    ctx.sm.jobs.inc();
+    ctx.sm.cache_hits.inc();
+    ctx.sm.queue_wait.record(queue_wait_ns);
+    ctx.metrics
+        .histogram_with(
+            "match_serve_solve_latency_ns",
+            &[("algo", &job.algo), ("shard", &ctx.shard)],
+        )
+        .record(solve_ns);
+    record_job_events(
+        ctx,
+        &trace_id,
+        job.seq,
+        queue_wait_ns,
+        solve_ns,
+        hit.cost,
+        "cache_hit",
+    );
+    job.resp.send(Response::Solved(SolveResponse {
+        id: job.id,
+        trace_id,
+        algo: hit.algo,
+        seed: job.seed,
+        backend: job.backend.as_str().to_string(),
+        cost: hit.cost,
+        cached: true,
+        cancelled: false,
+        warm: false,
+        iterations_saved: 0,
+        evaluations: 0,
+        iterations: 0,
+        queue_wait_ns,
+        solve_ns,
+        migrated_tasks: 0,
+        mapping: hit.mapping,
     }));
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end daemon tests over a real TCP socket: concurrency across
-//! solver kinds, result-cache hits, admission-control backpressure,
-//! deadline cancellation, drain-on-shutdown, and trace reporting.
+//! solver kinds, result-cache hits (at admission and on a worker),
+//! admission-control backpressure, deadline cancellation,
+//! drain-on-shutdown, and trace reporting.
 
 use match_serve::{
     Client, RemapRequest, Request, Response, ServeConfig, Server, ServerHandle, SolveRequest,
@@ -843,6 +844,196 @@ fn trace_run_summarises() {
     let rendered = TraceSummary::from_events(&events).render();
     assert!(rendered.contains("match-serve"), "{rendered}");
     std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn cache_hit_is_answered_at_admission_without_a_queue_slot() {
+    use match_telemetry::{read_trace_file, Event};
+    let dir = std::env::temp_dir().join(format!(
+        "match-serve-admit-hit-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let trace = dir.join("serve.jsonl");
+    let handle = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_cap: 4,
+        cache_cap: 8,
+        trace: Some(trace.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("start");
+    let (tig, platform) = instance_text(8, 31);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let first = expect_solved(
+        client
+            .call(&solve("h1", "hill", 4, &tig, &platform))
+            .expect("first"),
+    );
+    assert!(!first.cached);
+    let hit = expect_solved(
+        client
+            .call(&solve("h2", "hill", 4, &tig, &platform))
+            .expect("repeat"),
+    );
+    assert!(hit.cached, "identical resubmission must hit the cache");
+    assert_eq!(hit.queue_wait_ns, 0, "a hit at admission never queues");
+    assert_eq!(hit.mapping, first.mapping);
+    assert!(hit.trace_id.starts_with("h2#"), "{}", hit.trace_id);
+    let stats = handle.stats();
+    assert_eq!(
+        (stats.jobs, stats.cache_hits, stats.cache_misses),
+        (2, 1, 1)
+    );
+    handle.shutdown().expect("shutdown");
+
+    let events = read_trace_file(&trace).expect("trace parses");
+    let count = |want: &str| {
+        events
+            .iter()
+            .filter(|e| matches!(e, Event::Counter { name, .. } if name == want))
+            .count()
+    };
+    assert_eq!(count("cache_hit"), 1);
+    assert_eq!(count("cache_miss"), 1);
+    // One queue-depth sample per push: the miss only.
+    let depths: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Sample { name, value } if name == "queue_depth" => Some(*value),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(depths, vec![1], "the hit must not touch the queue");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn duplicate_queued_behind_its_first_copy_hits_on_the_worker() {
+    use match_serve::{encode_request_line, parse_response};
+    use std::io::{BufRead, BufReader, Write};
+
+    let handle = start(1, 4, 8);
+    let (tig, platform) = instance_text(16, 32);
+    // Both lines in one write: the second is admitted while the first is
+    // still queued or solving, so only the worker's probe can hit.
+    let stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let wire = encode_request_line(&solve("d1", "sa", 5, &tig, &platform))
+        + &encode_request_line(&solve("d2", "sa", 5, &tig, &platform));
+    writer.write_all(wire.as_bytes()).expect("write pair");
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read reply");
+        replies.push(expect_solved(parse_response(line.trim()).expect("parses")));
+    }
+    replies.sort_by(|a, b| a.id.cmp(&b.id));
+    assert!(!replies[0].cached);
+    assert!(
+        replies[1].cached,
+        "the queued duplicate is served from cache"
+    );
+    assert!(replies[1].queue_wait_ns > 0, "it waited in the queue");
+    assert_eq!(replies[1].mapping, replies[0].mapping);
+    let stats = handle.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+    handle.shutdown().expect("shutdown");
+}
+
+#[test]
+fn cache_hit_after_shutdown_still_gets_shutting_down() {
+    let handle = start(1, 4, 8);
+    let (tig, platform) = instance_text(7, 33);
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    let first = expect_solved(
+        client
+            .call(&solve("s1", "greedy", 2, &tig, &platform))
+            .expect("first"),
+    );
+    assert!(!first.cached);
+    assert!(matches!(
+        client.shutdown().expect("shutdown op"),
+        Response::Bye
+    ));
+    match client
+        .call(&solve("s2", "greedy", 2, &tig, &platform))
+        .expect("post-shutdown call")
+    {
+        Response::Error { id, error } => {
+            assert_eq!(id, "s2");
+            assert!(error.contains("shutting down"), "{error}");
+        }
+        other => panic!("a cached key after shutdown must be refused, got {other:?}"),
+    }
+    let summary = handle.wait().expect("wait");
+    assert_eq!(summary.stats.cache_hits, 0);
+}
+
+#[test]
+fn half_closed_connection_closes_once_its_worker_reply_is_written() {
+    use match_serve::{encode_request_line, parse_response};
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let handle = start(1, 4, 0);
+    let (tig, platform) = instance_text(12, 34);
+    let stream = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    writer
+        .write_all(encode_request_line(&solve("hc", "hill", 6, &tig, &platform)).as_bytes())
+        .expect("write request");
+    // Done sending: the daemon owes one worker reply, then nothing.
+    writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read reply");
+    let r = expect_solved(parse_response(line.trim()).expect("reply parses"));
+    assert_eq!((r.id.as_str(), r.cached), ("hc", false));
+    let mut rest = Vec::new();
+    let n = reader
+        .read_to_end(&mut rest)
+        .expect("the daemon closes the connection instead of idling on it");
+    assert_eq!(n, 0, "nothing after the one reply");
+    handle.shutdown().expect("shutdown");
+}
+
+#[test]
+fn shutdown_with_idle_connections_returns_promptly() {
+    // Nothing but the doorbell wakes an I/O thread whose sockets are
+    // all idle; without it shutdown would wait forever in poll(2).
+    let handle = start(1, 4, 4);
+    let mut idle: Vec<Client> = (0..2)
+        .map(|_| Client::connect(handle.local_addr()).expect("connect"))
+        .collect();
+    for client in &mut idle {
+        // A round trip proves the daemon has adopted the connection.
+        assert!(matches!(client.stats().expect("stats"), Response::Stats(_)));
+    }
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let begun = std::time::Instant::now();
+    std::thread::spawn(move || {
+        handle.shutdown().expect("shutdown");
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("shutdown must not hang on idle connections");
+    let took = begun.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(200),
+        "shutdown took {took:?}"
+    );
+    for client in &mut idle {
+        assert!(client.recv().is_err(), "the daemon closes idle connections");
+    }
 }
 
 /// The paper-family instance for `(n, seed)`, as text plus the parsed

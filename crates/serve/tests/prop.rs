@@ -207,3 +207,69 @@ mod ring {
         }
     }
 }
+
+mod wire {
+    //! The request decoder copies unescaped runs whole; every string a
+    //! client can encode must come back exactly, whatever mix of
+    //! escapes, control characters and multi-byte UTF-8 it holds.
+
+    use match_serve::{encode_request, parse_request, Request, SolveRequest};
+    use proptest::prelude::*;
+
+    /// One character from a class the decoder treats specially: `"`,
+    /// `\`, `/`, C0 controls, DEL, ASCII letters, and 2-, 3- and 4-byte
+    /// UTF-8.
+    fn wire_char(class: u8, v: u32) -> char {
+        let pick = |lo: u32, span: u32| char::from_u32(lo + v % span).unwrap_or('?');
+        match class % 9 {
+            0 => '"',
+            1 => '\\',
+            2 => '/',
+            3 => pick(0, 0x20),
+            4 => '\u{7f}',
+            5 => pick(u32::from(b'a'), 26),
+            6 => pick(0x80, 0x780),
+            7 => pick(0xE000, 0x2000),
+            _ => pick(0x1_0000, 0x10_0000),
+        }
+    }
+
+    /// Strings dense in the characters the decoder treats specially.
+    fn wire_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec((any::<u8>(), any::<u32>()), 0..48)
+            .prop_map(|cs| cs.into_iter().map(|(c, v)| wire_char(c, v)).collect())
+    }
+
+    /// `Some(value)` about half the time.
+    fn maybe<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+        (any::<bool>(), inner).prop_map(|(some, v)| some.then_some(v))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn solve_request_strings_round_trip(
+            id in wire_string(),
+            algo in wire_string(),
+            tig in wire_string(),
+            platform in wire_string(),
+            backend in maybe(wire_string()),
+            seed in any::<u64>(),
+            deadline_ms in maybe(any::<u64>()),
+        ) {
+            let req = Request::Solve(SolveRequest {
+                id,
+                algo,
+                seed,
+                deadline_ms,
+                backend,
+                tig,
+                platform,
+            });
+            let line = encode_request(&req);
+            prop_assert!(!line.contains('\n'), "one request, one line: {:?}", line);
+            prop_assert_eq!(parse_request(&line).expect("own encoding parses"), req);
+        }
+    }
+}
