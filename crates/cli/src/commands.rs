@@ -1734,7 +1734,7 @@ mod tests {
             .unwrap();
             assert!(s.contains("FastMap-GA: ET ="), "threads {threads}: {s}");
         }
-        // The trace carries the delta-mutation counters.
+        // The trace carries the GA evaluation and mutation counters.
         let events = read_trace_file(&t2_trace).unwrap();
         let has_counter = |name: &str| {
             events
@@ -1742,7 +1742,7 @@ mod tests {
                 .any(|e| matches!(e, Event::Counter { name: n, .. } if n == name))
         };
         assert!(has_counter("full_evaluations"));
-        assert!(has_counter("delta_swaps"));
+        assert!(has_counter("mutation_swaps"));
 
         let diff = run_tokens(&["report", "--diff", t1_s, t2_s]).unwrap();
         assert!(diff.contains("A = "), "{diff}");

@@ -24,8 +24,8 @@
 //!
 //! One generation loop ([`batch`]) produces the populations: flat reused
 //! `population × n` buffers with parallel fan-out that is bit-identical
-//! for every thread count, alias-method roulette, and O(degree)
-//! delta-cost mutation.
+//! for every thread count, alias-method roulette, and one batched Eq. 1
+//! evaluation per child after mutation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -35,24 +35,28 @@ pub fn crossover_into(
         child[r] = g;
         used[g] = true;
     }
+    // `used` only grows, so the first unused gene of each in-order scan
+    // never moves backwards: one cursor per scan finds the same gene a
+    // scan from index 0 would, in O(n) over the whole child.
+    let (mut first_half, mut any) = (0, 0);
     for r in half..n {
         let candidate = parent2[r];
         let gene = if !used[candidate] {
             candidate
         } else {
             // In-order scan of parent2's first half…
-            parent2[..half]
-                .iter()
-                .copied()
-                .find(|&g| !used[g])
+            while first_half < half && used[parent2[first_half]] {
+                first_half += 1;
+            }
+            if first_half < half {
+                parent2[first_half]
+            } else {
                 // …falling back to any unused gene of parent2 (odd n).
-                .unwrap_or_else(|| {
-                    parent2
-                        .iter()
-                        .copied()
-                        .find(|&g| !used[g])
-                        .expect("some gene is unused")
-                })
+                while used[parent2[any]] {
+                    any += 1;
+                }
+                parent2[any]
+            }
         };
         child[r] = gene;
         used[gene] = true;
@@ -69,15 +73,14 @@ pub fn crossover_into(
 /// * [`MutationOp::Inversion`] — with probability `p`, reverse a random
 ///   segment, as a sequence of outside-in swaps.
 ///
-/// Every transposition is reported as `on_swap(a, b)` with the two genes
-/// (tasks) it exchanged, so the engine can mirror it into delta-updated
-/// per-resource loads instead of re-evaluating the child.
+/// The draws depend only on `rng` and the length of `genes`, never on
+/// costs, so the caller may score the child after mutation without
+/// changing any stream.
 pub fn mutate_in_place<R: Rng + ?Sized>(
     op: MutationOp,
     p: f64,
     genes: &mut [usize],
     rng: &mut R,
-    mut on_swap: impl FnMut(usize, usize),
 ) -> u64 {
     let n = genes.len();
     let mut swaps = 0u64;
@@ -85,7 +88,6 @@ pub fn mutate_in_place<R: Rng + ?Sized>(
         return swaps;
     }
     let mut swap = |genes: &mut [usize], i: usize, j: usize| {
-        on_swap(genes[i], genes[j]);
         genes.swap(i, j);
         swaps += 1;
     };
@@ -175,7 +177,7 @@ mod tests {
         for op in [MutationOp::Swap, MutationOp::Inversion] {
             for _ in 0..100 {
                 let mut genes = random_permutation(12, &mut rng);
-                mutate_in_place(op, 0.5, &mut genes, &mut rng, |_, _| {});
+                mutate_in_place(op, 0.5, &mut genes, &mut rng);
                 assert!(is_permutation(&genes), "{op:?}");
             }
         }
@@ -187,7 +189,7 @@ mod tests {
         for op in [MutationOp::Swap, MutationOp::Inversion] {
             let mut genes = random_permutation(10, &mut rng);
             let before = genes.clone();
-            let swaps = mutate_in_place(op, 0.0, &mut genes, &mut rng, |_, _| {});
+            let swaps = mutate_in_place(op, 0.0, &mut genes, &mut rng);
             assert_eq!(swaps, 0);
             assert_eq!(genes, before, "{op:?}");
         }
@@ -200,7 +202,7 @@ mod tests {
         for _ in 0..50 {
             let mut genes = random_permutation(10, &mut rng);
             let before = genes.clone();
-            mutate_in_place(MutationOp::Swap, 1.0, &mut genes, &mut rng, |_, _| {});
+            mutate_in_place(MutationOp::Swap, 1.0, &mut genes, &mut rng);
             if genes != before {
                 changed += 1;
             }
@@ -209,23 +211,40 @@ mod tests {
     }
 
     #[test]
-    fn reported_swaps_replay_the_mutation() {
-        // The delta-cost path sees only the reported transpositions, so
-        // replaying them on the parent must reproduce the child.
+    fn swap_count_matches_the_transpositions() {
+        // The returned count feeds the `mutation_swaps` trace counter.
+        // A permutation made of k transpositions has parity k mod 2 and
+        // moves at most 2k positions.
+        fn parity(perm: &[usize]) -> usize {
+            let mut seen = vec![false; perm.len()];
+            let mut odd = 0;
+            for start in 0..perm.len() {
+                let mut len = 0;
+                let mut i = start;
+                while !seen[i] {
+                    seen[i] = true;
+                    i = perm[i];
+                    len += 1;
+                }
+                if len > 0 {
+                    odd += len - 1;
+                }
+            }
+            odd % 2
+        }
         let mut rng = StdRng::seed_from_u64(20);
         for op in [MutationOp::Swap, MutationOp::Inversion] {
             for _ in 0..100 {
-                let mut genes = random_permutation(9, &mut rng);
-                let mut replay = genes.clone();
-                let mut seen = 0u64;
-                let swaps = mutate_in_place(op, 0.7, &mut genes, &mut rng, |a, b| {
-                    let i = replay.iter().position(|&g| g == a).unwrap();
-                    let j = replay.iter().position(|&g| g == b).unwrap();
-                    replay.swap(i, j);
-                    seen += 1;
-                });
-                assert_eq!(swaps, seen);
-                assert_eq!(replay, genes, "{op:?}");
+                let before = random_permutation(9, &mut rng);
+                let mut genes = before.clone();
+                let swaps = mutate_in_place(op, 0.7, &mut genes, &mut rng);
+                let moved = before.iter().zip(&genes).filter(|(a, b)| a != b).count();
+                assert!(moved as u64 <= 2 * swaps, "{op:?}");
+                assert_eq!(
+                    (parity(&before) + parity(&genes)) % 2,
+                    (swaps % 2) as usize,
+                    "{op:?}"
+                );
             }
         }
     }
@@ -235,10 +254,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(19);
         for op in [MutationOp::Swap, MutationOp::Inversion] {
             let mut genes = vec![0];
-            mutate_in_place(op, 1.0, &mut genes, &mut rng, |_, _| {});
+            mutate_in_place(op, 1.0, &mut genes, &mut rng);
             assert_eq!(genes, [0]);
             let mut genes: Vec<usize> = Vec::new();
-            mutate_in_place(op, 1.0, &mut genes, &mut rng, |_, _| {});
+            mutate_in_place(op, 1.0, &mut genes, &mut rng);
             assert!(genes.is_empty());
         }
     }

@@ -524,7 +524,7 @@ mod tests {
             wall_ns: 4_000,
         });
         fast.push(Event::Counter {
-            name: "delta_swaps".into(),
+            name: "mutation_swaps".into(),
             value: 7,
         });
         fast[5] = Event::RunEnd {
@@ -548,8 +548,8 @@ mod tests {
         assert!(text.contains("phase budgets"));
         assert!(text.contains("-50.0%"), "phase delta missing:\n{text}");
         // Counter present in only one trace renders as `-` on the other side.
-        assert!(text.contains("delta_swaps"));
-        let swap_line = text.lines().find(|l| l.contains("delta_swaps")).unwrap();
+        assert!(text.contains("mutation_swaps"));
+        let swap_line = text.lines().find(|l| l.contains("mutation_swaps")).unwrap();
         assert!(swap_line.contains('-') && swap_line.contains('7'));
     }
 
